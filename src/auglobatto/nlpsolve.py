@@ -5,8 +5,11 @@ Each iteration assembles the KKT system
     [ H + delta I   J^T ] [ dz  ]   [ -grad_z L ]
     [ J             0   ] [ dm  ] = [ -c        ]
 
-with H the Lagrangian Hessian (forward differences of the analytic
-gradient), J the constraint Jacobian, and c the constraint values.  The
+with H the Lagrangian Hessian, J the constraint Jacobian, and c the
+constraint values.  H is block diagonal by grid node, so its forward
+differences of the analytic gradient perturb one component at every node at
+once and keep the rows of each perturbed unknown's own node: n_x + n_u
+gradients per Hessian instead of one per unknown.  The
 regularization delta starts at zero and doubles from a small seed whenever
 the factorization fails or the line search stalls; a singular system with a
 rank-deficient constraint Jacobian additionally gets a small negative shift
@@ -80,14 +83,18 @@ def _kkt_vector(t: Transcript, z, mult):
 
 
 def _hessian_fd(t: Transcript, z, mult, step=1e-7):
-    """Lagrangian Hessian by forward differences of the analytic gradient."""
+    """Lagrangian Hessian by node-grouped forward differences: an unknown's
+    group is its rank among the unknowns of its node (``t.node_labels``)."""
     base = _lagrangian_gradient(t, z, mult)
-    n = z.size
-    H = np.empty((n, n))
-    for j in range(n):
+    same_node = t.node_labels[:, None] == t.node_labels[None, :]
+    group = np.count_nonzero(np.tril(same_node, -1), axis=1)
+    H = np.zeros((z.size, z.size))
+    for g in range(group.max() + 1):
+        cols = group == g
         bumped = z.copy()
-        bumped[j] += step
-        H[:, j] = (_lagrangian_gradient(t, bumped, mult) - base) / step
+        bumped[cols] += step
+        diff = (_lagrangian_gradient(t, bumped, mult) - base) / step
+        H[:, cols] = np.where(same_node[:, cols], diff[:, None], 0.0)
     return 0.5 * (H + H.T)
 
 

@@ -22,14 +22,47 @@ import numpy as np
 Vector = np.ndarray
 
 
-@dataclass(frozen=True)
+def _zero_cost(t, x, u):
+    return np.zeros(np.shape(x)[:-1])
+
+
+def _zero_cost_gradients(t, x, u):
+    return np.zeros(np.shape(x)), np.zeros(np.shape(u))
+
+
+def _zero_endpoint_cost(t, x):
+    return 0.0
+
+
+def _zero_state_gradient(t, x):
+    return np.zeros(np.shape(x))
+
+
+def _no_boundary(t, x):
+    return np.zeros(0)
+
+
+def _no_boundary_jacobian(t, x):
+    return np.zeros((0, np.size(x)))
+
+
+@dataclass(frozen=True, kw_only=True)
 class OcpDefinition:
     """Smooth fixed-time optimal control problem with equality boundaries.
 
     Dynamics, costs and boundary maps are plain callables; Jacobian
     callables return dense arrays with rows indexed by the residual and
-    columns by the state (or control) component.  ``initial_guess`` maps a
-    time to a (state, control) pair used to seed the solver.
+    columns by the state (or control) component.  ``initial_guess`` maps
+    times to the (state, control) samples used to seed the solver.
+
+    ``dynamics``, ``dynamics_jacobians``, ``running_cost``,
+    ``running_cost_gradients`` and ``initial_guess`` broadcast over leading
+    node axes: ``t`` has shape ``(...)``, ``x`` ``(..., n_x)``, ``u``
+    ``(..., n_u)``; the Jacobians are ``(..., n_x, n_x)`` and
+    ``(..., n_x, n_u)``, the running cost ``(...)``.  Written with
+    ``x[..., i]`` indexing they also take one node (scalar ``t``, 1-D ``x``
+    and ``u``).  Endpoint costs and boundary maps take one state.  Costs
+    default to zero and the final boundary to none (``n_phif = 0``).
     """
 
     name: str
@@ -37,21 +70,21 @@ class OcpDefinition:
     n_u: int
     t0: float
     tf: float
-    dynamics: Callable[[float, Vector, Vector], Vector]
-    dynamics_jacobians: Callable[[float, Vector, Vector], tuple]
-    running_cost: Callable[[float, Vector, Vector], float]
-    running_cost_gradients: Callable[[float, Vector, Vector], tuple]
-    endpoint_cost_initial: Callable[[float, Vector], float]
-    endpoint_cost_initial_gradient: Callable[[float, Vector], Vector]
-    endpoint_cost_final: Callable[[float, Vector], float]
-    endpoint_cost_final_gradient: Callable[[float, Vector], Vector]
+    dynamics: Callable[[Vector, Vector, Vector], Vector]
+    dynamics_jacobians: Callable[[Vector, Vector, Vector], tuple]
     boundary_initial: Callable[[float, Vector], Vector]
     boundary_initial_jacobian: Callable[[float, Vector], Vector]
-    boundary_final: Callable[[float, Vector], Vector]
-    boundary_final_jacobian: Callable[[float, Vector], Vector]
     n_phi0: int
-    n_phif: int
-    initial_guess: Callable[[float], tuple]
+    initial_guess: Callable[[Vector], tuple]
+    running_cost: Callable[[Vector, Vector, Vector], Vector] = _zero_cost
+    running_cost_gradients: Callable[[Vector, Vector, Vector], tuple] = _zero_cost_gradients
+    endpoint_cost_initial: Callable[[float, Vector], float] = _zero_endpoint_cost
+    endpoint_cost_initial_gradient: Callable[[float, Vector], Vector] = _zero_state_gradient
+    endpoint_cost_final: Callable[[float, Vector], float] = _zero_endpoint_cost
+    endpoint_cost_final_gradient: Callable[[float, Vector], Vector] = _zero_state_gradient
+    boundary_final: Callable[[float, Vector], Vector] = _no_boundary
+    boundary_final_jacobian: Callable[[float, Vector], Vector] = _no_boundary_jacobian
+    n_phif: int = 0
 
     def __post_init__(self):
         if self.n_x < 1 or self.n_u < 1:
@@ -71,14 +104,6 @@ class AnalyticTruth:
     costate_fn: Callable[[np.ndarray], np.ndarray]
 
 
-def _zero_cost(t, x, u):
-    return 0.0
-
-
-def _zero_cost_gradients(t, x, u):
-    return np.zeros(np.shape(x)), np.zeros(np.shape(u))
-
-
 # ---------------------------------------------------------------------------
 # Orbit raising: maximize final orbit radius of a constant-thrust transfer.
 # State (r, theta, v_r, v_theta, m), control is the thrust angle beta.
@@ -91,54 +116,56 @@ _ORBIT_X0 = np.array([1.0, 0.0, 0.0, 1.0, 1.0])
 
 
 def _orbit_dynamics(t, x, u):
-    r, _, vr, vt, m = x
-    beta = u[0]
+    r, vr, vt, m = x[..., 0], x[..., 2], x[..., 3], x[..., 4]
+    beta = u[..., 0]
     accel = _ORBIT_THRUST / m
-    return np.array(
+    return np.stack(
         [
             vr,
             vt / r,
             vt * vt / r - _ORBIT_MU / (r * r) + accel * np.sin(beta),
             -vr * vt / r + accel * np.cos(beta),
-            -_ORBIT_MDOT,
-        ]
+            np.full_like(r, -_ORBIT_MDOT),
+        ],
+        axis=-1,
     )
 
 
 def _orbit_jacobians(t, x, u):
-    r, _, vr, vt, m = x
-    beta = u[0]
+    r, vr, vt, m = x[..., 0], x[..., 2], x[..., 3], x[..., 4]
+    beta = u[..., 0]
     sb, cb = np.sin(beta), np.cos(beta)
     accel = _ORBIT_THRUST / m
-    A = np.zeros((5, 5))
-    A[0, 2] = 1.0
-    A[1, 0] = -vt / r**2
-    A[1, 3] = 1.0 / r
-    A[2, 0] = -vt * vt / r**2 + 2.0 * _ORBIT_MU / r**3
-    A[2, 3] = 2.0 * vt / r
-    A[2, 4] = -accel / m * sb
-    A[3, 0] = vr * vt / r**2
-    A[3, 2] = -vt / r
-    A[3, 3] = -vr / r
-    A[3, 4] = -accel / m * cb
-    B = np.zeros((5, 1))
-    B[2, 0] = accel * cb
-    B[3, 0] = -accel * sb
+    A = np.zeros(np.shape(x) + (5,))
+    A[..., 0, 2] = 1.0
+    A[..., 1, 0] = -vt / r**2
+    A[..., 1, 3] = 1.0 / r
+    A[..., 2, 0] = -vt * vt / r**2 + 2.0 * _ORBIT_MU / r**3
+    A[..., 2, 3] = 2.0 * vt / r
+    A[..., 2, 4] = -accel / m * sb
+    A[..., 3, 0] = vr * vt / r**2
+    A[..., 3, 2] = -vt / r
+    A[..., 3, 3] = -vr / r
+    A[..., 3, 4] = -accel / m * cb
+    B = np.zeros(np.shape(x) + (1,))
+    B[..., 2, 0] = accel * cb
+    B[..., 3, 0] = -accel * sb
     return A, B
 
 
 def _orbit_guess(t):
     frac = t / _ORBIT_TF
-    x = np.array(
+    x = np.stack(
         [
             1.0 + 0.5 * frac,
             2.0 * frac,
-            0.0,
-            1.0,
+            np.zeros_like(frac),
+            np.ones_like(frac),
             1.0 - _ORBIT_MDOT * t,
-        ]
+        ],
+        axis=-1,
     )
-    u = np.array([np.pi * frac])
+    u = np.stack([np.pi * frac], axis=-1)
     return x, u
 
 
@@ -184,10 +211,6 @@ def orbit_raising() -> OcpDefinition:
         tf=_ORBIT_TF,
         dynamics=_orbit_dynamics,
         dynamics_jacobians=_orbit_jacobians,
-        running_cost=_zero_cost,
-        running_cost_gradients=_zero_cost_gradients,
-        endpoint_cost_initial=lambda t, x: 0.0,
-        endpoint_cost_initial_gradient=lambda t, x: np.zeros(5),
         endpoint_cost_final=final_cost,
         endpoint_cost_final_gradient=final_cost_gradient,
         boundary_initial=boundary_initial,
@@ -213,8 +236,8 @@ def _ivp_dynamics(t, x, u):
 
 
 def _ivp_jacobians(t, x, u):
-    A = np.array([[_IVP_RATE * (u[0] - 1.0)]])
-    B = np.array([[_IVP_RATE * (x[0] - 2.0 * u[0])]])
+    A = _IVP_RATE * (u - 1.0)[..., None]
+    B = _IVP_RATE * (x - 2.0 * u)[..., None]
     return A, B
 
 
@@ -228,7 +251,7 @@ def nonlinear_ivp() -> tuple[OcpDefinition, AnalyticTruth]:
     """
 
     def guess(t):
-        return np.array([1.0]), np.array([0.5])
+        return np.ones(np.shape(t) + (1,)), np.full(np.shape(t) + (1,), 0.5)
 
     defn = OcpDefinition(
         name="nonlinear-ivp",
@@ -238,18 +261,11 @@ def nonlinear_ivp() -> tuple[OcpDefinition, AnalyticTruth]:
         tf=2.0,
         dynamics=_ivp_dynamics,
         dynamics_jacobians=_ivp_jacobians,
-        running_cost=_zero_cost,
-        running_cost_gradients=_zero_cost_gradients,
-        endpoint_cost_initial=lambda t, x: 0.0,
-        endpoint_cost_initial_gradient=lambda t, x: np.zeros(1),
         endpoint_cost_final=lambda t, x: -x[0],
         endpoint_cost_final_gradient=lambda t, x: np.array([-1.0]),
         boundary_initial=lambda t, x: x - 1.0,
         boundary_initial_jacobian=lambda t, x: np.eye(1),
-        boundary_final=lambda t, x: np.zeros(0),
-        boundary_final_jacobian=lambda t, x: np.zeros((0, 1)),
         n_phi0=1,
-        n_phif=0,
         initial_guess=guess,
     )
 

@@ -44,6 +44,11 @@ class Transcript:
     (``n`` blocks of ``n_u``).  Constraint vector: defect rows node-major
     (``n`` blocks of ``n_x``), then the initial boundary rows, then the
     final boundary rows.  All evaluation methods are pure.
+
+    ``node_labels`` holds the grid node of every unknown; the augmented
+    method's extra sample is node n.  Every nonlinear term reads one node
+    and the defect block is linear, so the Lagrangian Hessian has no entry
+    between unknowns with different labels.
     """
 
     def __init__(self, ocp: OcpDefinition, ns: NodeSet, method: Method):
@@ -72,6 +77,10 @@ class Transcript:
         self.n_state_vars = self.n_state_nodes * self.n_x
         self.n_z = self.n_state_vars + self.n * self.n_u
         self.n_constraints = self.n_defect + ocp.n_phi0 + ocp.n_phif
+        self.node_labels = self.pack(
+            np.repeat(np.arange(self.n_state_nodes), self.n_x),
+            np.repeat(np.arange(self.n), self.n_u),
+        )
 
         # The defect rows are linear in the states; precompute that block.
         self._defect_state_block = -np.kron(
@@ -86,13 +95,6 @@ class Transcript:
         """Affine map from the reference interval to problem time."""
         return self.half_dt * np.asarray(tau, dtype=float) + self._mid
 
-    def state_slice(self, i: int) -> slice:
-        return slice(i * self.n_x, (i + 1) * self.n_x)
-
-    def control_slice(self, k: int) -> slice:
-        base = self.n_state_vars + k * self.n_u
-        return slice(base, base + self.n_u)
-
     def unpack(self, z):
         z = np.asarray(z, dtype=float)
         if z.shape != (self.n_z,):
@@ -105,12 +107,8 @@ class Transcript:
         return np.concatenate([np.ravel(states), np.ravel(controls)])
 
     def initial_guess_vector(self) -> np.ndarray:
-        states = np.empty((self.n_state_nodes, self.n_x))
-        controls = np.empty((self.n, self.n_u))
-        for i, t in enumerate(self.state_times):
-            states[i], _ = self.ocp.initial_guess(t)
-        for k, t in enumerate(self.collocation_times):
-            _, controls[k] = self.ocp.initial_guess(t)
+        states, _ = self.ocp.initial_guess(self.state_times)
+        _, controls = self.ocp.initial_guess(self.collocation_times)
         return self.pack(states, controls)
 
     # -- NLP callbacks -----------------------------------------------------
@@ -120,32 +118,27 @@ class Transcript:
         ocp = self.ocp
         total = ocp.endpoint_cost_initial(ocp.t0, states[0])
         total += ocp.endpoint_cost_final(ocp.tf, states[self.n - 1])
-        running = 0.0
-        for k, t in enumerate(self.collocation_times):
-            running += self.ns.weights[k] * ocp.running_cost(t, states[k], controls[k])
+        running = self.ns.weights @ ocp.running_cost(
+            self.collocation_times, states[: self.n], controls
+        )
         return float(total + self.half_dt * running)
 
     def objective_gradient(self, z) -> np.ndarray:
         states, controls = self.unpack(z)
         ocp = self.ocp
-        g = np.zeros(self.n_z)
-        for k, t in enumerate(self.collocation_times):
-            hx, hu = ocp.running_cost_gradients(t, states[k], controls[k])
-            scale = self.half_dt * self.ns.weights[k]
-            g[self.state_slice(k)] += scale * np.asarray(hx)
-            g[self.control_slice(k)] += scale * np.asarray(hu)
-        g[self.state_slice(0)] += ocp.endpoint_cost_initial_gradient(ocp.t0, states[0])
-        g[self.state_slice(self.n - 1)] += ocp.endpoint_cost_final_gradient(
-            ocp.tf, states[self.n - 1]
-        )
-        return g
+        n = self.n
+        hx, hu = ocp.running_cost_gradients(self.collocation_times, states[:n], controls)
+        scale = self.half_dt * self.ns.weights[:, None]
+        g_states = np.zeros_like(states)
+        g_states[:n] = scale * hx
+        g_states[0] += ocp.endpoint_cost_initial_gradient(ocp.t0, states[0])
+        g_states[n - 1] += ocp.endpoint_cost_final_gradient(ocp.tf, states[n - 1])
+        return self.pack(g_states, scale * hu)
 
     def constraints(self, z) -> np.ndarray:
         states, controls = self.unpack(z)
         ocp = self.ocp
-        rhs = np.empty((self.n, self.n_x))
-        for k, t in enumerate(self.collocation_times):
-            rhs[k] = ocp.dynamics(t, states[k], controls[k])
+        rhs = ocp.dynamics(self.collocation_times, states[: self.n], controls)
         defects = rhs - (self.diff.entries @ states) / self.half_dt
         tail = [defects.ravel()]
         tail.append(np.atleast_1d(ocp.boundary_initial(ocp.t0, states[0])))
@@ -155,48 +148,53 @@ class Transcript:
     def jacobian(self, z) -> np.ndarray:
         states, controls = self.unpack(z)
         ocp = self.ocp
+        A, B = ocp.dynamics_jacobians(self.collocation_times, states[: self.n], controls)
         J = np.zeros((self.n_constraints, self.n_z))
         J[: self.n_defect, : self.n_state_vars] = self._defect_state_block
-        for k, t in enumerate(self.collocation_times):
-            A, B = ocp.dynamics_jacobians(t, states[k], controls[k])
-            rows = slice(k * self.n_x, (k + 1) * self.n_x)
-            J[rows, self.state_slice(k)] += A
-            J[rows, self.control_slice(k)] = B
+        J[: self.n_defect, : self.n_defect] += _block_diagonal(A)
+        J[: self.n_defect, self.n_state_vars :] = _block_diagonal(B)
         row0 = self.n_defect
-        J[row0 : row0 + ocp.n_phi0, self.state_slice(0)] = np.atleast_2d(
+        J[row0 : row0 + ocp.n_phi0, : self.n_x] = np.atleast_2d(
             ocp.boundary_initial_jacobian(ocp.t0, states[0])
         )
-        rowf = row0 + ocp.n_phi0
-        if ocp.n_phif:
-            J[rowf:, self.state_slice(self.n - 1)] = np.atleast_2d(
-                ocp.boundary_final_jacobian(ocp.tf, states[self.n - 1])
-            )
+        J[row0 + ocp.n_phi0 :, self.n_defect - self.n_x : self.n_defect] = np.atleast_2d(
+            ocp.boundary_final_jacobian(ocp.tf, states[self.n - 1])
+        )
         return J
 
     # -- construction checks ----------------------------------------------
 
     def _validate_shapes(self):
+        """Call every node-array callback once on the whole guess grid."""
         ocp = self.ocp
-        x, u = ocp.initial_guess(ocp.t0)
-        x = np.asarray(x)
-        u = np.asarray(u)
-        if x.shape != (self.n_x,) or u.shape != (self.n_u,):
-            raise ValueError(
-                f"initial_guess returned shapes {x.shape}/{u.shape}, "
-                f"expected ({self.n_x},)/({self.n_u},)"
-            )
-        f = np.asarray(ocp.dynamics(ocp.t0, x, u))
-        if f.shape != (self.n_x,):
-            raise ValueError(f"dynamics returned shape {f.shape}")
-        A, B = ocp.dynamics_jacobians(ocp.t0, x, u)
-        if np.shape(A) != (self.n_x, self.n_x) or np.shape(B) != (self.n_x, self.n_u):
-            raise ValueError("dynamics Jacobian shapes do not match n_x, n_u")
-        phi0 = np.atleast_1d(ocp.boundary_initial(ocp.t0, x))
-        phif = np.atleast_1d(ocp.boundary_final(ocp.tf, x))
-        if phi0.shape != (ocp.n_phi0,):
-            raise ValueError(f"boundary_initial returned shape {phi0.shape}")
-        if phif.shape != (ocp.n_phif,):
-            raise ValueError(f"boundary_final returned shape {phif.shape}")
+        n, n_x, n_u = self.n, self.n_x, self.n_u
+        tc = self.collocation_times
+        x, u = ocp.initial_guess(tc)
+        _check_shapes("initial_guess", (x, u), (n, n_x), (n, n_u))
+        _check_shapes("dynamics", (ocp.dynamics(tc, x, u),), (n, n_x))
+        jacobians = ocp.dynamics_jacobians(tc, x, u)
+        _check_shapes("dynamics_jacobians", jacobians, (n, n_x, n_x), (n, n_x, n_u))
+        _check_shapes("running_cost", (ocp.running_cost(tc, x, u),), (n,))
+        gradients = ocp.running_cost_gradients(tc, x, u)
+        _check_shapes("running_cost_gradients", gradients, (n, n_x), (n, n_u))
+        phi0 = np.atleast_1d(ocp.boundary_initial(ocp.t0, x[0]))
+        _check_shapes("boundary_initial", (phi0,), (ocp.n_phi0,))
+        phif = np.atleast_1d(ocp.boundary_final(ocp.tf, x[n - 1]))
+        _check_shapes("boundary_final", (phif,), (ocp.n_phif,))
+
+
+def _check_shapes(name, arrays, *expected):
+    shapes = tuple(np.shape(a) for a in arrays)
+    if shapes != expected:
+        raise ValueError(f"{name} returned shapes {shapes}, expected {expected}")
+
+
+def _block_diagonal(blocks):
+    """Stack of n (p, q) blocks -> (n p, n q) block-diagonal matrix."""
+    n, p, q = blocks.shape
+    out = np.zeros((n, p, n, q))
+    out[np.arange(n), :, np.arange(n), :] = blocks
+    return out.reshape(n * p, n * q)
 
 
 def transcribe(ocp: OcpDefinition, ns: NodeSet, method: Method) -> Transcript:
@@ -308,20 +306,17 @@ def kkt_residuals(
     nu0, nuf = sol.boundary_multipliers
 
     n = t.n
-    f_all = np.empty((n, t.n_x))
-    grad_x = np.empty((n, t.n_x))
-    grad_u = np.empty((n, t.n_u))
-    for k, tk in enumerate(t.collocation_times):
-        xk, uk = states[k], controls[k]
-        f_all[k] = ocp.dynamics(tk, xk, uk)
-        A, B = ocp.dynamics_jacobians(tk, xk, uk)
-        hx, hu = ocp.running_cost_gradients(tk, xk, uk)
-        grad_x[k] = half * w[k] * (np.asarray(hx) + A.T @ lam[k])
-        grad_u[k] = half * w[k] * (np.asarray(hu) + B.T @ lam[k])
+    tc = t.collocation_times
+    f_all = ocp.dynamics(tc, states[:n], controls)
+    A, B = ocp.dynamics_jacobians(tc, states[:n], controls)
+    hx, hu = ocp.running_cost_gradients(tc, states[:n], controls)
+    scale = half * w[:, None]
+    grad_x = scale * (hx + np.einsum("kji,kj->ki", A, lam))
+    grad_u = scale * (hu + np.einsum("kji,kj->ki", B, lam))
 
     # (a) weighted state-equation defect.
     defect = f_all - (D.entries @ states) / half
-    res_state = np.max(np.abs(w[:, None] * half * defect))
+    res_state = np.max(np.abs(scale * defect))
 
     # (b) adjoint equation with the endpoint jumps on the right-hand side.
     adjoint = grad_x + w[:, None] * (Ddual.entries @ lam)
@@ -330,11 +325,7 @@ def kkt_residuals(
     ) + np.atleast_2d(ocp.boundary_initial_jacobian(ocp.t0, states[0])).T @ nu0
     adjoint[n - 1] += np.asarray(
         ocp.endpoint_cost_final_gradient(ocp.tf, states[n - 1])
-    )
-    if ocp.n_phif:
-        adjoint[n - 1] += (
-            np.atleast_2d(ocp.boundary_final_jacobian(ocp.tf, states[n - 1])).T @ nuf
-        )
+    ) + np.atleast_2d(ocp.boundary_final_jacobian(ocp.tf, states[n - 1])).T @ nuf
     adjoint[n - 1] -= lam[n - 1]
     adjoint[0] += lam[0]
     res_adjoint = np.max(np.abs(adjoint))

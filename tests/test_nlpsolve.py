@@ -5,6 +5,8 @@ from auglobatto.nlpsolve import (
     MaxIterationsError,
     SingularKktError,
     SolverOptions,
+    _hessian_fd,
+    _lagrangian_gradient,
     solve,
 )
 from auglobatto.ocp import nonlinear_ivp, orbit_raising
@@ -16,7 +18,8 @@ class QuadraticProbe:
     """min ||z||^2 subject to A z = b, with an explicit start point.
 
     Quacks like a Transcript as far as the solver cares: it only needs the
-    guess, the sizes, and the three callbacks.
+    guess, the sizes, the node labels and the three callbacks.  Each unknown
+    is its own node, which is exact here: the Lagrangian Hessian is 2 I.
     """
 
     def __init__(self, A, b, guess):
@@ -24,6 +27,7 @@ class QuadraticProbe:
         self.b = np.asarray(b, dtype=float)
         self.guess = np.asarray(guess, dtype=float)
         self.n_z = self.guess.size
+        self.node_labels = np.arange(self.n_z)
 
     def initial_guess_vector(self):
         return self.guess.copy()
@@ -75,6 +79,50 @@ def test_duplicated_constraint_hits_the_singular_path():
     np.testing.assert_allclose(z, [1.0, 0.0, 0.0], atol=1e-9)
     np.testing.assert_allclose(mult.sum(), -2.0, atol=1e-8)
     np.testing.assert_allclose(mult[0], mult[1], atol=1e-8)
+
+
+# -- grouped Hessian -------------------------------------------------------
+
+
+def hessian_by_columns(t, z, mult, step=1e-7):
+    """Reference: forward differences one unknown at a time."""
+    base = _lagrangian_gradient(t, z, mult)
+    H = np.empty((t.n_z, t.n_z))
+    for j in range(t.n_z):
+        bumped = z.copy()
+        bumped[j] += step
+        H[:, j] = (_lagrangian_gradient(t, bumped, mult) - base) / step
+    return 0.5 * (H + H.T)
+
+
+@pytest.mark.parametrize("method", list(Method))
+@pytest.mark.parametrize(
+    "factory", [orbit_raising, lambda: nonlinear_ivp()[0]], ids=["orbit", "ivp"]
+)
+def test_grouped_hessian_matches_column_loop(factory, method, monkeypatch):
+    defn = factory()
+    t = transcribe(defn, lobatto_nodes(9), method)
+    rng = np.random.default_rng(7)
+    z = t.initial_guess_vector() + 0.05 * rng.standard_normal(t.n_z)
+    mult = rng.standard_normal(t.n_constraints)
+    gradient = t.objective_gradient
+    calls = []
+    monkeypatch.setattr(t, "objective_gradient", lambda zz: calls.append(1) or gradient(zz))
+    H = _hessian_fd(t, z, mult)
+    # The base point plus one perturbation per state and control component.
+    assert len(calls) == defn.n_x + defn.n_u + 1
+    reference = hessian_by_columns(t, z, mult)
+    # A gradient row of one node reads only that node's unknowns, so every
+    # kept difference is computed from the same numbers as its column.
+    np.testing.assert_array_equal(H, reference)
+    assert np.any(reference != 0.0)
+    same_node = t.node_labels[:, None] == t.node_labels[None, :]
+    assert np.all(reference[~same_node] == 0.0)
+    if method is Method.NEW_LOBATTO:
+        extra = t.node_labels == t.n
+        assert np.count_nonzero(extra) == defn.n_x
+        assert np.all(reference[extra] == 0.0)
+        assert np.all(reference[:, extra] == 0.0)
 
 
 # -- options validation ----------------------------------------------------

@@ -159,6 +159,36 @@ class TestNonlinearIvp:
         assert x[0] == 1.0 and u[0] == 0.5
 
 
+@pytest.mark.parametrize(
+    "factory", [orbit_raising, lambda: nonlinear_ivp()[0]], ids=["orbit", "ivp"]
+)
+def test_node_arrays_match_stacked_single_nodes(factory):
+    defn = factory()
+    rng = np.random.default_rng(9)
+    t = np.sort(rng.uniform(defn.t0, defn.tf, 12))
+    x_g, u_g = defn.initial_guess(t)
+    x = x_g + 0.1 * rng.standard_normal(x_g.shape)
+    u = u_g + 0.1 * rng.standard_normal(u_g.shape)
+    callbacks = {
+        "dynamics": (defn.dynamics, (t, x, u)),
+        "dynamics_jacobians": (defn.dynamics_jacobians, (t, x, u)),
+        "running_cost": (defn.running_cost, (t, x, u)),
+        "running_cost_gradients": (defn.running_cost_gradients, (t, x, u)),
+        "initial_guess": (defn.initial_guess, (t,)),
+    }
+    # Array and scalar powers (r**3, r**-1.5) may round apart by an ulp.
+    ulps = 4 * np.finfo(float).eps
+    for name, (fn, args) in callbacks.items():
+        whole = fn(*args)
+        nodes = [fn(*(a[k] for a in args)) for k in range(t.size)]
+        if not isinstance(whole, tuple):
+            whole, nodes = (whole,), [(node,) for node in nodes]
+        for array, parts in zip(whole, zip(*nodes)):
+            np.testing.assert_allclose(
+                array, np.stack(parts), rtol=ulps, atol=ulps, err_msg=name
+            )
+
+
 class TestValidation:
     def test_reversed_horizon_rejected(self):
         defn, _ = nonlinear_ivp()

@@ -24,30 +24,24 @@ def ivp_analytic_vector(t: Transcript, truth):
 
 
 def constant_problem(n_x=2, value=0.0):
-    """Trivial problem with constant dynamics, used to probe the defects."""
-    rate = np.full(n_x, value)
-
+    """Trivial problem with constant dynamics and unit running cost, used to
+    probe the defects and the quadrature."""
     return OcpDefinition(
         name="probe",
         n_x=n_x,
         n_u=1,
         t0=0.0,
         tf=1.0,
-        dynamics=lambda t, x, u: rate.copy(),
-        dynamics_jacobians=lambda t, x, u: (np.zeros((n_x, n_x)), np.zeros((n_x, 1))),
-        running_cost=lambda t, x, u: 1.0,
-        running_cost_gradients=lambda t, x, u: (np.zeros(n_x), np.zeros(1)),
-        endpoint_cost_initial=lambda t, x: 0.0,
-        endpoint_cost_initial_gradient=lambda t, x: np.zeros(n_x),
-        endpoint_cost_final=lambda t, x: 0.0,
-        endpoint_cost_final_gradient=lambda t, x: np.zeros(n_x),
+        dynamics=lambda t, x, u: np.full(np.shape(x), value),
+        dynamics_jacobians=lambda t, x, u: (
+            np.zeros(np.shape(x) + (n_x,)),
+            np.zeros(np.shape(x) + (1,)),
+        ),
+        running_cost=lambda t, x, u: np.ones(np.shape(t)),
         boundary_initial=lambda t, x: x - 1.0,
         boundary_initial_jacobian=lambda t, x: np.eye(n_x),
-        boundary_final=lambda t, x: np.zeros(0),
-        boundary_final_jacobian=lambda t, x: np.zeros((0, n_x)),
         n_phi0=n_x,
-        n_phif=0,
-        initial_guess=lambda t: (np.ones(n_x), np.zeros(1)),
+        initial_guess=lambda t: (np.ones(np.shape(t) + (n_x,)), np.zeros(np.shape(t) + (1,))),
     )
 
 
@@ -331,9 +325,11 @@ class TestConstructionValidation:
         from dataclasses import replace
 
         defn, _ = nonlinear_ivp()
-        broken = replace(defn, dynamics=lambda t, x, u: np.zeros(3))
-        with pytest.raises(ValueError, match="dynamics"):
-            transcribe(broken, lobatto_nodes(5), Method.NEW_LOBATTO)
+        # The second returns one node's shape: it does not broadcast.
+        for dynamics in (lambda t, x, u: np.zeros(3), lambda t, x, u: np.zeros(1)):
+            broken = replace(defn, dynamics=dynamics)
+            with pytest.raises(ValueError, match="dynamics"):
+                transcribe(broken, lobatto_nodes(5), Method.NEW_LOBATTO)
 
     def test_bad_boundary_shape_rejected(self):
         from dataclasses import replace
