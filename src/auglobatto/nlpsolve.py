@@ -9,13 +9,20 @@ with H the Lagrangian Hessian, J the constraint Jacobian, and c the
 constraint values.  H is block diagonal by grid node, so its forward
 differences of the analytic gradient perturb one component at every node at
 once and keep the rows of each perturbed unknown's own node: n_x + n_u
-gradients per Hessian instead of one per unknown.  The
-regularization delta starts at zero and doubles from a small seed whenever
-the factorization fails or the line search stalls; a singular system with a
-rank-deficient constraint Jacobian additionally gets a small negative shift
-on the constraint block.  The step length comes from backtracking on the
-Euclidean norm of the full KKT residual.  Problems here have a few hundred
-unknowns at most, so everything is dense.
+gradients per Hessian instead of one per unknown.
+
+The regularization delta runs through 0, delta_0, 2 delta_0, ... until the
+factorization has the inertia of a constrained minimizer and the line search
+finds a step.  That inertia needs the reduced Hessian Z^T (H + delta I) Z =
+Z^T H Z + delta I to be positive definite, Z an orthonormal basis of the null
+space of J (Nocedal & Wright ch. 16; the inertia correction of IPOPT).  So
+each Newton step takes one QR of J^T and the smallest eigenvalue of the
+small matrix Z^T H Z, and goes straight past every delta that leaves it
+negative; the factorization stays the only acceptance test.  A singular
+system with a rank-deficient constraint Jacobian additionally gets a small
+negative shift on the constraint block.  The step length comes from
+backtracking on the Euclidean norm of the full KKT residual.  Problems here
+have a few hundred unknowns at most, so everything is dense.
 """
 
 from __future__ import annotations
@@ -73,19 +80,28 @@ class MaxIterationsError(RuntimeError):
 class SingularKktError(RuntimeError):
     """KKT matrix stayed singular beyond the regularization cap."""
 
+    def __init__(self, report: SolveReport, delta: float):
+        super().__init__(
+            f"KKT system unusable at iteration {report.iterations} "
+            f"(regularization {delta:.1e})"
+        )
+        self.report = report
 
-def _lagrangian_gradient(t: Transcript, z, mult):
-    return t.objective_gradient(z) + t.jacobian(z).T @ mult
+
+def _lagrangian_gradient(t: Transcript, z, mult, J=None):
+    if J is None:
+        J = t.jacobian(z)
+    return t.objective_gradient(z) + J.T @ mult
 
 
-def _kkt_vector(t: Transcript, z, mult):
-    return np.concatenate([_lagrangian_gradient(t, z, mult), t.constraints(z)])
+def _kkt_vector(t: Transcript, z, mult, J=None):
+    return np.concatenate([_lagrangian_gradient(t, z, mult, J), t.constraints(z)])
 
 
-def _hessian_fd(t: Transcript, z, mult, step=1e-7):
-    """Lagrangian Hessian by node-grouped forward differences: an unknown's
-    group is its rank among the unknowns of its node (``t.node_labels``)."""
-    base = _lagrangian_gradient(t, z, mult)
+def _hessian_fd(t: Transcript, z, mult, base, step=1e-7):
+    """Lagrangian Hessian by node-grouped forward differences from the
+    gradient ``base`` at (z, mult): an unknown's group is its rank among the
+    unknowns of its node (``t.node_labels``)."""
     same_node = t.node_labels[:, None] == t.node_labels[None, :]
     group = np.count_nonzero(np.tril(same_node, -1), axis=1)
     H = np.zeros((z.size, z.size))
@@ -96,6 +112,39 @@ def _hessian_fd(t: Transcript, z, mult, step=1e-7):
         diff = (_lagrangian_gradient(t, bumped, mult) - base) / step
         H[:, cols] = np.where(same_node[:, cols], diff[:, None], 0.0)
     return 0.5 * (H + H.T)
+
+
+def _regularizations(delta_0):
+    """The regularization tries 0, delta_0, 2 delta_0, 4 delta_0, ..."""
+    delta = 0.0
+    while True:
+        yield delta
+        delta = delta_0 if delta == 0.0 else 2.0 * delta
+
+
+def _hopeless_below(H, J):
+    """A bound under which every regularization delta is sure to fail.
+
+    For delta below it the reduced Hessian Z^T (H + delta I) Z = Z^T H Z +
+    delta I has a negative eigenvalue, Z = Q[:, m:] from a complete QR of
+    J^T.  Z lies in the null space of J (and spans it when J has full row
+    rank), so with v that eigenvector the saddle form is negative
+    semidefinite on span(Z v) plus the whole multiplier space: m + 1
+    dimensions.  The saddle matrix then has at most n - 1 positive
+    eigenvalues, with or without the negative dual shift, and ``_solve_kkt``
+    rejects it.  The margin keeps roundoff in the small eigenvalue problem
+    from skipping a delta that the factorization might accept.
+    """
+    m, n = J.shape
+    if m >= n:
+        return -np.inf
+    try:
+        Q, _ = np.linalg.qr(J.T, mode="complete")
+        Z = Q[:, m:]
+        lowest = np.linalg.eigvalsh(Z.T @ H @ Z)[0]
+    except np.linalg.LinAlgError:
+        return -np.inf
+    return -lowest - 1e-6 * max(1.0, float(np.max(np.abs(H))))
 
 
 def _solve_kkt(H, J, rhs, delta, step_cap):
@@ -157,9 +206,9 @@ def _solve_kkt(H, J, rhs, delta, step_cap):
 def solve(t: Transcript, opts: SolverOptions = SolverOptions()):
     """Newton-iterate the transcript to a KKT point.
 
-    Returns (z, multipliers, report).  Raises MaxIterationsError with the
-    report attached when the budget runs out, SingularKktError when no
-    regularization in range rescues the factorization.
+    Returns (z, multipliers, report).  Raises MaxIterationsError when the
+    budget runs out and SingularKktError when no regularization in range
+    rescues the factorization, both with the report attached.
     """
     z = t.initial_guess_vector()
     n = t.n_z
@@ -171,7 +220,8 @@ def solve(t: Transcript, opts: SolverOptions = SolverOptions()):
     report = SolveReport(converged=False, iterations=0, final_kkt_norm=np.inf)
 
     for iteration in range(opts.max_iterations):
-        kkt = _kkt_vector(t, z, mult)
+        J = t.jacobian(z)
+        kkt = _kkt_vector(t, z, mult, J)
         grad_norm = np.max(np.abs(kkt[:n]))
         cons_norm = np.max(np.abs(kkt[n:])) if kkt.size > n else 0.0
         report.iterations = iteration
@@ -180,14 +230,18 @@ def solve(t: Transcript, opts: SolverOptions = SolverOptions()):
             report.converged = True
             return z, mult, report
 
-        H = _hessian_fd(t, z, mult)
-        J = t.jacobian(z)
+        H = _hessian_fd(t, z, mult, kkt[:n])
         merit = np.linalg.norm(kkt)
 
         step_cap = 1e6 * max(1.0, np.linalg.norm(z))
-        delta = 0.0
-        bumps = 0
-        while True:
+        hopeless_below = _hopeless_below(H, J)
+        # Stiffen until the factorization succeeds and a step length helps;
+        # the tries skipped as hopeless count as bumps all the same.
+        for bumps, delta in enumerate(_regularizations(opts.regularization_initial)):
+            if delta > _REGULARIZATION_CAP or bumps > _MAX_CONSECUTIVE_BUMPS:
+                raise SingularKktError(report, delta)
+            if delta < hopeless_below:
+                continue
             step, dual_shifted = _solve_kkt(H, J, -kkt, delta, step_cap)
             accepted = False
             if step is not None:
@@ -215,14 +269,6 @@ def solve(t: Transcript, opts: SolverOptions = SolverOptions()):
                     )
                 report.step_history.append((iteration, float(trial_merit), alpha))
                 break
-            # Factorization failed or no step length helped: stiffen.
-            delta = opts.regularization_initial if delta == 0.0 else 2.0 * delta
-            bumps += 1
-            if delta > _REGULARIZATION_CAP or bumps > _MAX_CONSECUTIVE_BUMPS:
-                raise SingularKktError(
-                    f"KKT system unusable at iteration {iteration} "
-                    f"(regularization {delta:.1e})"
-                )
 
     kkt = _kkt_vector(t, z, mult)
     report.iterations = opts.max_iterations

@@ -1,12 +1,22 @@
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import auglobatto
+from auglobatto import nlpsolve
 from auglobatto.nlpsolve import (
     MaxIterationsError,
     SingularKktError,
     SolverOptions,
     _hessian_fd,
+    _hopeless_below,
     _lagrangian_gradient,
+    _solve_kkt,
     solve,
 )
 from auglobatto.ocp import nonlinear_ivp, orbit_raising
@@ -15,17 +25,20 @@ from auglobatto.transcribe import Method, assemble_solution, transcribe
 
 
 class QuadraticProbe:
-    """min ||z||^2 subject to A z = b, with an explicit start point.
+    """min (curvature / 2) ||z||^2 subject to A z = b, with an explicit start
+    point; the default curvature gives min ||z||^2.
 
     Quacks like a Transcript as far as the solver cares: it only needs the
     guess, the sizes, the node labels and the three callbacks.  Each unknown
-    is its own node, which is exact here: the Lagrangian Hessian is 2 I.
+    is its own node, which is exact here: the Lagrangian Hessian is
+    curvature * I.
     """
 
-    def __init__(self, A, b, guess):
+    def __init__(self, A, b, guess, curvature=2.0):
         self.A = np.asarray(A, dtype=float)
         self.b = np.asarray(b, dtype=float)
         self.guess = np.asarray(guess, dtype=float)
+        self.curvature = curvature
         self.n_z = self.guess.size
         self.node_labels = np.arange(self.n_z)
 
@@ -33,7 +46,7 @@ class QuadraticProbe:
         return self.guess.copy()
 
     def objective_gradient(self, z):
-        return 2.0 * z
+        return self.curvature * z
 
     def constraints(self, z):
         return self.A @ z - self.b
@@ -81,6 +94,111 @@ def test_duplicated_constraint_hits_the_singular_path():
     np.testing.assert_allclose(mult[0], mult[1], atol=1e-8)
 
 
+# -- regularization start ------------------------------------------------
+
+
+def first_coordinate_row(n=3):
+    J = np.zeros((1, n))
+    J[0, 0] = 1.0
+    return J
+
+
+def test_positive_reduced_hessian_starts_at_zero():
+    # H is indefinite, but its negative curvature lies along the row of J,
+    # so the reduced Hessian is the identity and delta = 0 already gives the
+    # inertia of a minimizer.
+    H = np.diag([-1.0, 1.0, 1.0])
+    J = first_coordinate_row()
+    assert _hopeless_below(H, J) < 0.0
+    step, dual_shifted = _solve_kkt(H, J, np.ones(4), 0.0, 1e6)
+    assert step is not None and not dual_shifted
+
+
+def test_negative_reduced_hessian_skips_what_fails():
+    H = np.diag([1.0, -3.0, 1.0])
+    J = first_coordinate_row()
+    bound = _hopeless_below(H, J)
+    assert 3.0 - 1e-5 < bound < 3.0
+    assert _solve_kkt(H, J, np.ones(4), np.nextafter(bound, 0.0), 1e6)[0] is None
+    assert _solve_kkt(H, J, np.ones(4), 3.5, 1e6)[0] is not None
+
+
+def test_no_null_space_skips_nothing():
+    H = -np.eye(2)
+    assert _hopeless_below(H, np.eye(2)) == -np.inf
+    assert _hopeless_below(H, np.ones((3, 2))) == -np.inf
+
+
+def test_start_beyond_cap_raises_the_old_error(monkeypatch):
+    # Curvature -4e8 needs delta > 4e8, past the 1e8 cap: the doubling loop
+    # rejected every try up to 1.8e8 and then gave up.  Now every try is
+    # skipped, with the same bump count and the same message.
+    factorizations = []
+    monkeypatch.setattr(
+        nlpsolve, "_solve_kkt", lambda *args: factorizations.append(1) or _solve_kkt(*args)
+    )
+    probe = QuadraticProbe(first_coordinate_row(), [1.0], np.full(3, 0.7), curvature=-4e8)
+    with pytest.raises(SingularKktError) as err:
+        solve(probe)
+    assert str(err.value) == "KKT system unusable at iteration 0 (regularization 1.8e+08)"
+    assert err.value.report.iterations == 0
+    assert not factorizations
+
+
+def record_factorizations(monkeypatch, t):
+    """Solve t and return, per Newton step, the tries solve made as
+    (H, J, rhs, delta, step_cap, step, dual_shifted) tuples."""
+    steps = []
+
+    def recording(H, J, rhs, delta, step_cap):
+        step, dual_shifted = _solve_kkt(H, J, rhs, delta, step_cap)
+        if not steps or steps[-1][0][0] is not H:
+            steps.append([])
+        steps[-1].append((H, J, rhs, delta, step_cap, step, dual_shifted))
+        return step, dual_shifted
+
+    monkeypatch.setattr(nlpsolve, "_solve_kkt", recording)
+    try:
+        solve(t)
+    except (MaxIterationsError, SingularKktError):
+        pass
+    return steps
+
+
+@pytest.mark.parametrize(
+    "factory, n, method",
+    [(orbit_raising, 25, Method.NEW_LOBATTO)]
+    + [(lambda: nonlinear_ivp()[0], n, Method.STANDARD_LOBATTO) for n in range(8, 14)],
+    ids=["orbit-25"] + [f"square-ivp-{n}" for n in range(8, 14)],
+)
+def test_skipped_regularizations_match_doubling_from_zero(factory, n, method, monkeypatch):
+    steps = record_factorizations(monkeypatch, transcribe(factory(), lobatto_nodes(n), method))
+    assert steps
+    skipped = 0
+    for tries in steps:
+        H, J, rhs, first_tried, step_cap = tries[0][:5]
+        factored = next((tr for tr in tries if tr[5] is not None), None)
+        # Reference: the loop that started every Newton step at delta = 0
+        # and doubled from 1e-8 until a factorization passed.
+        delta = 0.0
+        while True:
+            step, dual_shifted = _solve_kkt(H, J, rhs, delta, step_cap)
+            if delta < first_tried:
+                assert step is None
+                skipped += 1
+            if step is not None or delta >= tries[-1][3]:
+                break
+            delta = 1e-8 if delta == 0.0 else 2.0 * delta
+        if factored is None:
+            assert step is None
+        else:
+            assert delta == factored[3]
+            assert dual_shifted == factored[6]
+            np.testing.assert_array_equal(step, factored[5])
+    # Every case starts some step past delta = 0.
+    assert skipped > 0
+
+
 # -- grouped Hessian -------------------------------------------------------
 
 
@@ -108,9 +226,12 @@ def test_grouped_hessian_matches_column_loop(factory, method, monkeypatch):
     gradient = t.objective_gradient
     calls = []
     monkeypatch.setattr(t, "objective_gradient", lambda zz: calls.append(1) or gradient(zz))
-    H = _hessian_fd(t, z, mult)
-    # The base point plus one perturbation per state and control component.
-    assert len(calls) == defn.n_x + defn.n_u + 1
+    base = _lagrangian_gradient(t, z, mult)
+    calls.clear()
+    H = _hessian_fd(t, z, mult, base)
+    # One perturbation per state and control component; the caller already
+    # holds the gradient at the base point.
+    assert len(calls) == defn.n_x + defn.n_u
     reference = hessian_by_columns(t, z, mult)
     # A gradient row of one node reads only that node's unknowns, so every
     # kept difference is computed from the same numbers as its column.
@@ -205,6 +326,45 @@ def test_max_iterations_carries_report():
     assert not report.converged
     assert report.iterations == 3
     assert np.isfinite(report.final_kkt_norm)
+
+
+@pytest.mark.parametrize("n", [8, 11])
+def test_singular_kkt_carries_report(n):
+    defn, _ = nonlinear_ivp()
+    t = transcribe(defn, lobatto_nodes(n), Method.STANDARD_LOBATTO)
+    with pytest.raises(SingularKktError) as err:
+        solve(t)
+    message = str(err.value)
+    assert re.fullmatch(r"KKT system unusable at iteration \d+ \(regularization 1\.8e\+08\)", message)
+    report = err.value.report
+    assert report.iterations == int(re.search(r"iteration (\d+)", message).group(1))
+    assert not report.converged
+    assert np.isfinite(report.final_kkt_norm)
+    assert len(report.step_history) == report.iterations
+
+
+def test_solves_without_scipy():
+    # The inertia work must stay numpy-only: scipy often sits beside numpy
+    # but is not a dependency, so make every import of it fail.
+    script = (
+        "import sys\n"
+        "sys.modules['scipy'] = None\n"
+        "import auglobatto as ag\n"
+        "t = ag.transcribe(ag.nonlinear_ivp()[0], ag.lobatto_nodes(6), ag.Method.NEW_LOBATTO)\n"
+        "z, mult, report = ag.solve(t)\n"
+        "assert report.converged\n"
+        "print('ok')\n"
+    )
+    src = str(Path(auglobatto.__file__).resolve().parents[1])
+    result = subprocess.run(
+        [sys.executable, "-c", script],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "ok"
 
 
 def test_orbit_raising_converges():
