@@ -130,14 +130,12 @@ def cmd_solve(
     n: int,
     method: str,
     out_path: str,
-    tol: float = 1e-10,
-    max_iter: int = 200,
+    opts: SolverOptions = SolverOptions(),
     err_stream=None,
 ) -> int:
     err_stream = err_stream if err_stream is not None else sys.stderr
     defn, _ = _load_problem(problem)
     transcript = transcribe(defn, lobatto_nodes(n), _METHODS[method])
-    opts = SolverOptions(kkt_tolerance=tol, max_iterations=max_iter)
     try:
         z, mult, report = solve(transcript, opts)
     except (MaxIterationsError, SingularKktError) as exc:
@@ -292,14 +290,11 @@ def main(argv=None) -> int:
     if args.command == "solve":
         if args.n < 3:
             parser.error("--n must be at least 3")
-        return cmd_solve(
-            args.problem,
-            args.n,
-            args.method,
-            args.out,
-            tol=args.tol,
-            max_iter=args.max_iter,
-        )
+        try:
+            opts = SolverOptions(kkt_tolerance=args.tol, max_iterations=args.max_iter)
+        except ValueError as exc:
+            parser.error(str(exc))
+        return cmd_solve(args.problem, args.n, args.method, args.out, opts)
 
     if args.command == "converge":
         if args.n_min < 3:

@@ -23,6 +23,11 @@ system with a rank-deficient constraint Jacobian additionally gets a small
 negative shift on the constraint block.  The step length comes from
 backtracking on the Euclidean norm of the full KKT residual.  Problems here
 have a few hundred unknowns at most, so everything is dense.
+
+Each point is evaluated once: an accepted line-search trial's gradient,
+Jacobian, constraint values and KKT vector carry into the next step.  The
+regularization and line-search constants are fixed; ``SolverOptions`` sets
+the KKT tolerance and the iteration budget.
 """
 
 from __future__ import annotations
@@ -33,29 +38,22 @@ import numpy as np
 
 from .transcribe import Transcript
 
+_REGULARIZATION_INITIAL = 1e-8
 _REGULARIZATION_CAP = 1e8
-_MAX_CONSECUTIVE_BUMPS = 60
+_LINE_SEARCH_SHRINK = 0.5
+_MIN_STEP = 1e-12
 
 
 @dataclass(frozen=True)
 class SolverOptions:
     kkt_tolerance: float = 1e-10
     max_iterations: int = 200
-    regularization_initial: float = 1e-8
-    line_search_shrink: float = 0.5
-    min_step: float = 1e-12
 
     def __post_init__(self):
         if self.kkt_tolerance <= 0 or self.kkt_tolerance >= 1e-4:
             raise ValueError("kkt_tolerance must lie in (0, 1e-4)")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be positive")
-        if self.regularization_initial <= 0:
-            raise ValueError("regularization_initial must be positive")
-        if not 0 < self.line_search_shrink < 1:
-            raise ValueError("line_search_shrink must lie in (0, 1)")
-        if self.min_step <= 0:
-            raise ValueError("min_step must be positive")
 
 
 @dataclass
@@ -88,14 +86,26 @@ class SingularKktError(RuntimeError):
         self.report = report
 
 
-def _lagrangian_gradient(t: Transcript, z, mult, J=None):
-    if J is None:
-        J = t.jacobian(z)
-    return t.objective_gradient(z) + J.T @ mult
+def _evaluate(t: Transcript, z):
+    """The objective gradient, constraint Jacobian and constraint values at z."""
+    return t.objective_gradient(z), t.jacobian(z), t.constraints(z)
 
 
-def _kkt_vector(t: Transcript, z, mult, J=None):
-    return np.concatenate([_lagrangian_gradient(t, z, mult, J), t.constraints(z)])
+def _lagrangian_gradient(t: Transcript, z, mult):
+    return t.objective_gradient(z) + t.jacobian(z).T @ mult
+
+
+def _kkt_vector(point, mult):
+    gradient, J, constraints = point
+    return np.concatenate([gradient + J.T @ mult, constraints])
+
+
+def _multiplier_estimate(point):
+    """The multipliers that minimize the Lagrangian gradient at ``point`` in
+    the least-squares sense, and the KKT vector they give there."""
+    gradient, J, _ = point
+    mult, *_ = np.linalg.lstsq(J.T, -gradient, rcond=None)
+    return mult, _kkt_vector(point, mult)
 
 
 def _hessian_fd(t: Transcript, z, mult, base, step=1e-7):
@@ -114,12 +124,12 @@ def _hessian_fd(t: Transcript, z, mult, base, step=1e-7):
     return 0.5 * (H + H.T)
 
 
-def _regularizations(delta_0):
-    """The regularization tries 0, delta_0, 2 delta_0, 4 delta_0, ..."""
+def _regularizations():
+    """The regularization tries 0, 1e-8, 2e-8, 4e-8, ...: 55 below the cap."""
     delta = 0.0
     while True:
         yield delta
-        delta = delta_0 if delta == 0.0 else 2.0 * delta
+        delta = _REGULARIZATION_INITIAL if delta == 0.0 else 2.0 * delta
 
 
 def _hopeless_below(H, J):
@@ -212,16 +222,15 @@ def solve(t: Transcript, opts: SolverOptions = SolverOptions()):
     """
     z = t.initial_guess_vector()
     n = t.n_z
+    point = _evaluate(t, z)
     # Least-squares multiplier estimate at the guess.  Starting from zero
     # multipliers would leave a linear objective with a vanishing Lagrangian
     # Hessian and a degenerate first KKT system.
-    mult, *_ = np.linalg.lstsq(t.jacobian(z).T, -t.objective_gradient(z), rcond=None)
+    mult, kkt = _multiplier_estimate(point)
 
     report = SolveReport(converged=False, iterations=0, final_kkt_norm=np.inf)
 
     for iteration in range(opts.max_iterations):
-        J = t.jacobian(z)
-        kkt = _kkt_vector(t, z, mult, J)
         grad_norm = np.max(np.abs(kkt[:n]))
         cons_norm = np.max(np.abs(kkt[n:])) if kkt.size > n else 0.0
         report.iterations = iteration
@@ -230,47 +239,42 @@ def solve(t: Transcript, opts: SolverOptions = SolverOptions()):
             report.converged = True
             return z, mult, report
 
+        _, J, _ = point
         H = _hessian_fd(t, z, mult, kkt[:n])
         merit = np.linalg.norm(kkt)
 
         step_cap = 1e6 * max(1.0, np.linalg.norm(z))
         hopeless_below = _hopeless_below(H, J)
-        # Stiffen until the factorization succeeds and a step length helps;
-        # the tries skipped as hopeless count as bumps all the same.
-        for bumps, delta in enumerate(_regularizations(opts.regularization_initial)):
-            if delta > _REGULARIZATION_CAP or bumps > _MAX_CONSECUTIVE_BUMPS:
+        # Stiffen until the factorization succeeds and a step length helps.
+        for delta in _regularizations():
+            if delta > _REGULARIZATION_CAP:
                 raise SingularKktError(report, delta)
             if delta < hopeless_below:
                 continue
             step, dual_shifted = _solve_kkt(H, J, -kkt, delta, step_cap)
-            accepted = False
-            if step is not None:
-                dz, dm = step[:n], step[n:]
-                alpha = 1.0
-                while alpha >= opts.min_step:
-                    trial_kkt = _kkt_vector(t, z + alpha * dz, mult + alpha * dm)
-                    trial_merit = np.linalg.norm(trial_kkt)
-                    if np.isfinite(trial_merit) and trial_merit <= merit * (
-                        1.0 - 1e-4 * alpha
-                    ):
-                        accepted = True
-                        break
-                    alpha *= opts.line_search_shrink
-            if accepted:
-                z = z + alpha * dz
-                mult = mult + alpha * dm
-                if dual_shifted:
-                    # The shifted dual block leaves a residual floor at the
-                    # shift size; a least-squares multiplier replacement
-                    # (which can only shrink the gradient part of the
-                    # residual) removes it without touching the primals.
-                    mult, *_ = np.linalg.lstsq(
-                        t.jacobian(z).T, -t.objective_gradient(z), rcond=None
-                    )
-                report.step_history.append((iteration, float(trial_merit), alpha))
-                break
+            if step is None:
+                continue
+            dz, dm = step[:n], step[n:]
+            alpha = 1.0
+            while alpha >= _MIN_STEP:
+                trial_z, trial_mult = z + alpha * dz, mult + alpha * dm
+                trial_point = _evaluate(t, trial_z)
+                trial_kkt = _kkt_vector(trial_point, trial_mult)
+                trial_merit = np.linalg.norm(trial_kkt)
+                if np.isfinite(trial_merit) and trial_merit <= merit * (1.0 - 1e-4 * alpha):
+                    break
+                alpha *= _LINE_SEARCH_SHRINK
+            else:
+                continue  # no step length helped
+            z, mult, point, kkt = trial_z, trial_mult, trial_point, trial_kkt
+            if dual_shifted:
+                # The shifted dual block leaves a residual floor at the shift
+                # size; a least-squares multiplier refresh, which can only shrink
+                # the gradient residual, removes it without touching the primals.
+                mult, kkt = _multiplier_estimate(point)
+            report.step_history.append((iteration, float(trial_merit), alpha))
+            break
 
-    kkt = _kkt_vector(t, z, mult)
     report.iterations = opts.max_iterations
     report.final_kkt_norm = float(np.max(np.abs(kkt)))
     raise MaxIterationsError(report)

@@ -222,7 +222,7 @@ class Solution:
     kkt_residual: float
 
 
-def extract_costates(t: Transcript, raw_multipliers, ns: NodeSet) -> np.ndarray:
+def extract_costates(t: Transcript, raw_multipliers) -> np.ndarray:
     """Costate samples from raw equality multipliers.
 
     The defect multiplier lambda-tilde at node k absorbs one quadrature
@@ -236,7 +236,7 @@ def extract_costates(t: Transcript, raw_multipliers, ns: NodeSet) -> np.ndarray:
         )
     lam_tilde = raw[: t.n_defect].reshape(t.n, t.n_x)
     dt = t.ocp.tf - t.ocp.t0
-    return 2.0 * lam_tilde / (ns.weights[:, None] * dt)
+    return 2.0 * lam_tilde / (t.ns.weights[:, None] * dt)
 
 
 def assemble_solution(
@@ -250,7 +250,7 @@ def assemble_solution(
         times=t.state_times.copy(),
         states=states.copy(),
         controls=controls.copy(),
-        costates=extract_costates(t, raw, t.ns),
+        costates=extract_costates(t, raw),
         multipliers_raw=raw.copy(),
         boundary_multipliers=(nu0, nuf),
         objective_value=t.objective(z),

@@ -204,6 +204,18 @@ def test_solve_failure_exits_nonzero(tmp_path, capsys):
     assert not path.exists()
 
 
+@pytest.mark.parametrize(
+    "flags", [["--tol", "1e-3"], ["--tol", "-1"], ["--max-iter", "0"]]
+)
+def test_solve_rejects_bad_solver_options(flags, tmp_path, capsys):
+    path = tmp_path / "never.csv"
+    with pytest.raises(SystemExit) as err:
+        cli.main(["solve", "--problem", "nonlinear-ivp", "--n", "6", "--out", str(path)] + flags)
+    assert err.value.code == 2
+    assert "must" in capsys.readouterr().err
+    assert not path.exists()
+
+
 def test_solve_rejects_unknown_problem():
     with pytest.raises(SystemExit) as err:
         cli.main(["solve", "--problem", "no-such", "--n", "10", "--out", "x.csv"])

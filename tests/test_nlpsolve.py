@@ -256,10 +256,6 @@ def test_grouped_hessian_matches_column_loop(factory, method, monkeypatch):
         {"kkt_tolerance": -1e-10},
         {"kkt_tolerance": 1e-4},
         {"max_iterations": 0},
-        {"regularization_initial": 0.0},
-        {"line_search_shrink": 0.0},
-        {"line_search_shrink": 1.0},
-        {"min_step": 0.0},
     ],
 )
 def test_bad_options_rejected(kwargs):
@@ -271,9 +267,6 @@ def test_default_options():
     opts = SolverOptions()
     assert opts.kkt_tolerance == 1e-10
     assert opts.max_iterations == 200
-    assert opts.regularization_initial == 1e-8
-    assert opts.line_search_shrink == 0.5
-    assert opts.min_step == 1e-12
 
 
 # -- benchmark solves ------------------------------------------------------
@@ -315,6 +308,30 @@ def test_accepted_merits_decrease(ivp_n15):
     merits = [m for _, m, _ in report.step_history]
     assert len(merits) == report.iterations
     assert all(b < a for a, b in zip(merits, merits[1:]))
+
+
+def test_each_point_is_evaluated_once():
+    # The guess and every line-search trial get one gradient, one Jacobian
+    # and one constraint evaluation; an accepted trial's values carry into
+    # the next Newton step.  The grouped Hessian adds n_x + n_u = 2
+    # Lagrangian gradients per step and no constraint evaluations.
+    t = transcribe(nonlinear_ivp()[0], lobatto_nodes(6), Method.NEW_LOBATTO)
+    calls = {"objective_gradient": 0, "jacobian": 0, "constraints": 0}
+    for name in calls:
+        method = getattr(t, name)
+
+        def counting(z, name=name, method=method):
+            calls[name] += 1
+            return method(z)
+
+        setattr(t, name, counting)
+    _, _, report = solve(t)
+    assert report.converged
+    # Each accepted step length alpha = 2^-k was the (k + 1)-th trial.
+    trials = sum(1 + round(-np.log2(alpha)) for _, _, alpha in report.step_history)
+    assert calls["constraints"] == 1 + trials
+    assert calls["objective_gradient"] == 1 + trials + 2 * report.iterations
+    assert calls["jacobian"] == calls["objective_gradient"]
 
 
 def test_max_iterations_carries_report():

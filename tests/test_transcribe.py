@@ -181,7 +181,7 @@ class TestCostateExtraction:
     def test_zero_multipliers(self):
         defn, _ = nonlinear_ivp()
         t = transcribe(defn, lobatto_nodes(7), Method.NEW_LOBATTO)
-        lam = extract_costates(t, np.zeros(t.n_constraints), t.ns)
+        lam = extract_costates(t, np.zeros(t.n_constraints))
         assert lam.shape == (7, 1)
         np.testing.assert_array_equal(lam, 0.0)
 
@@ -190,7 +190,7 @@ class TestCostateExtraction:
         ns = lobatto_nodes(5)
         t = transcribe(defn, ns, Method.NEW_LOBATTO)
         raw = np.arange(1.0, t.n_constraints + 1)
-        lam = extract_costates(t, raw, ns)
+        lam = extract_costates(t, raw)
         for k in range(5):
             expected = 2.0 * raw[k] / (ns.weights[k] * 2.0)
             assert lam[k, 0] == pytest.approx(expected, rel=1e-15)
@@ -203,15 +203,15 @@ class TestCostateExtraction:
         t_short = transcribe(defn, ns, Method.NEW_LOBATTO)
         t_long = transcribe(replace(defn, tf=4.0), ns, Method.NEW_LOBATTO)
         raw = np.linspace(-1, 1, t_short.n_constraints)
-        lam_short = extract_costates(t_short, raw, ns)
-        lam_long = extract_costates(t_long, raw, ns)
+        lam_short = extract_costates(t_short, raw)
+        lam_long = extract_costates(t_long, raw)
         np.testing.assert_allclose(lam_long, 0.5 * lam_short, rtol=1e-14)
 
     def test_length_mismatch_rejected(self):
         defn, _ = nonlinear_ivp()
         t = transcribe(defn, lobatto_nodes(5), Method.NEW_LOBATTO)
         with pytest.raises(ValueError, match="multipliers"):
-            extract_costates(t, np.zeros(3), t.ns)
+            extract_costates(t, np.zeros(3))
 
 
 def make_solution(t: Transcript, states, controls, costates, nu0, nuf):
