@@ -18,7 +18,13 @@ Z^T H Z + delta I to be positive definite, Z an orthonormal basis of the null
 space of J (Nocedal & Wright ch. 16; the inertia correction of IPOPT).  So
 each Newton step takes one QR of J^T and the smallest eigenvalue of the
 small matrix Z^T H Z, and goes straight past every delta that leaves it
-negative; the factorization stays the only acceptance test.  A singular
+negative.  When J has full row rank, the KKT inertia is the inertia of the
+reduced Hessian plus m positive and m negative eigenvalues, so a delta that
+leaves it clearly positive is certified and skips the eigenvalue test of
+the (n + m)-square KKT matrix.  The transcript says whether its
+differentiation matrix has full row rank (the augmented method's does); a
+delta within a small band around the reduced Hessian's zero crossing, and
+every delta of a square-method transcript, gets the full test.  A singular
 system with a rank-deficient constraint Jacobian additionally gets a small
 negative shift on the constraint block.  The step length comes from
 backtracking on the Euclidean norm of the full KKT residual.  Problems here
@@ -132,32 +138,47 @@ def _regularizations():
         delta = _REGULARIZATION_INITIAL if delta == 0.0 else 2.0 * delta
 
 
-def _hopeless_below(H, J):
-    """A bound under which every regularization delta is sure to fail.
+def _inertia_band(H, J, full_row_rank):
+    """The regularizations the reduced Hessian decides on its own.
 
-    For delta below it the reduced Hessian Z^T (H + delta I) Z = Z^T H Z +
-    delta I has a negative eigenvalue, Z = Q[:, m:] from a complete QR of
-    J^T.  Z lies in the null space of J (and spans it when J has full row
-    rank), so with v that eigenvector the saddle form is negative
-    semidefinite on span(Z v) plus the whole multiplier space: m + 1
-    dimensions.  The saddle matrix then has at most n - 1 positive
-    eigenvalues, with or without the negative dual shift, and ``_solve_kkt``
-    rejects it.  The margin keeps roundoff in the small eigenvalue problem
-    from skipping a delta that the factorization might accept.
+    Returns ``(fails_below, certain_above)``.  Both come from one complete QR
+    of J^T, Z = Q[:, m:], and the smallest eigenvalue lowest of the small
+    matrix Z^T H Z; the reduced Hessian for delta is Z^T H Z + delta I.
+
+    Below ``fails_below`` it has a negative eigenvalue.  Z lies in the null
+    space of J (and spans it when J has full row rank), so with v that
+    eigenvector the saddle form is negative semidefinite on span(Z v) plus
+    the whole multiplier space: m + 1 dimensions.  The saddle matrix then has
+    at most n - 1 positive eigenvalues, with or without the negative dual
+    shift, and ``_solve_kkt`` rejects it.
+
+    Above ``certain_above`` the reduced Hessian is positive definite.  When
+    J has full row rank, Z spans its null space and the KKT matrix has the
+    inertia of Z^T (H + delta I) Z plus m positive and m negative
+    eigenvalues (Nocedal & Wright Thm 16.3; Gould 1985): exactly n positive
+    and m negative, so ``_solve_kkt`` may skip its inertia test.  Without
+    ``full_row_rank`` nothing is certain and the upper edge is inf.
+
+    Inside the band ``_solve_kkt`` runs its full test.  The margins, 1e-6
+    below and 1e-5 above times max(1, max|H|), keep roundoff in the small
+    eigenvalue problem from deciding a delta that the full test might
+    decide the other way.
     """
     m, n = J.shape
     if m >= n:
-        return -np.inf
+        return -np.inf, np.inf
     try:
         Q, _ = np.linalg.qr(J.T, mode="complete")
         Z = Q[:, m:]
         lowest = np.linalg.eigvalsh(Z.T @ H @ Z)[0]
     except np.linalg.LinAlgError:
-        return -np.inf
-    return -lowest - 1e-6 * max(1.0, float(np.max(np.abs(H))))
+        return -np.inf, np.inf
+    scale = max(1.0, float(np.max(np.abs(H))))
+    certain_above = 1e-5 * scale - lowest if full_row_rank else np.inf
+    return -lowest - 1e-6 * scale, certain_above
 
 
-def _solve_kkt(H, J, rhs, delta, step_cap):
+def _solve_kkt(H, J, rhs, delta, step_cap, inertia_known):
     """Factor and solve the saddle system; None signals failure.
 
     Failure means any of: the matrix does not factor, the inertia is wrong
@@ -165,6 +186,10 @@ def _solve_kkt(H, J, rhs, delta, step_cap):
     eigenvalues), the solve is inaccurate, or the primal step is wildly
     long.  All of these call for more regularization, which is the caller's
     job.
+
+    ``inertia_known`` says that ``_inertia_band`` has certified the inertia
+    for this delta; the eigenvalue test and the dual shift are then skipped,
+    and the matrix goes straight to the solve and its checks.
 
     A singular matrix with correct-looking curvature usually means the
     constraint Jacobian itself lost rank (the square Lobatto transcripts do
@@ -181,24 +206,25 @@ def _solve_kkt(H, J, rhs, delta, step_cap):
     K[:n, n:] = J.T
     K[n:, :n] = J
     dual_shifted = False
-    try:
-        eigs = np.linalg.eigvalsh(K)
-    except np.linalg.LinAlgError:
-        return None, dual_shifted
-    scale = max(1.0, float(np.max(np.abs(eigs))))
-    if np.any(np.abs(eigs) <= 1e-8 * scale):
-        dual_shifted = True
-        K[n:, n:] = -1e-8 * scale * np.eye(m)
+    if not inertia_known:
         try:
             eigs = np.linalg.eigvalsh(K)
         except np.linalg.LinAlgError:
             return None, dual_shifted
         scale = max(1.0, float(np.max(np.abs(eigs))))
-    zero_tol = 1e-12 * scale
-    if np.count_nonzero(eigs > zero_tol) != n:
-        return None, dual_shifted
-    if np.count_nonzero(eigs < -zero_tol) != m:
-        return None, dual_shifted
+        if np.any(np.abs(eigs) <= 1e-8 * scale):
+            dual_shifted = True
+            K[n:, n:] = -1e-8 * scale * np.eye(m)
+            try:
+                eigs = np.linalg.eigvalsh(K)
+            except np.linalg.LinAlgError:
+                return None, dual_shifted
+            scale = max(1.0, float(np.max(np.abs(eigs))))
+        zero_tol = 1e-12 * scale
+        if np.count_nonzero(eigs > zero_tol) != n:
+            return None, dual_shifted
+        if np.count_nonzero(eigs < -zero_tol) != m:
+            return None, dual_shifted
     try:
         step = np.linalg.solve(K, rhs)
     except np.linalg.LinAlgError:
@@ -244,14 +270,16 @@ def solve(t: Transcript, opts: SolverOptions = SolverOptions()):
         merit = np.linalg.norm(kkt)
 
         step_cap = 1e6 * max(1.0, np.linalg.norm(z))
-        hopeless_below = _hopeless_below(H, J)
+        fails_below, certain_above = _inertia_band(H, J, t.full_row_rank)
         # Stiffen until the factorization succeeds and a step length helps.
         for delta in _regularizations():
             if delta > _REGULARIZATION_CAP:
                 raise SingularKktError(report, delta)
-            if delta < hopeless_below:
+            if delta < fails_below:
                 continue
-            step, dual_shifted = _solve_kkt(H, J, -kkt, delta, step_cap)
+            step, dual_shifted = _solve_kkt(
+                H, J, -kkt, delta, step_cap, delta > certain_above
+            )
             if step is None:
                 continue
             dz, dm = step[:n], step[n:]

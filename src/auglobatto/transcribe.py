@@ -26,6 +26,7 @@ from .discretization import (
     MatrixKind,
     build_new_lobatto_D,
     build_standard_lobatto_D,
+    numerical_rank,
 )
 from .ocp import OcpDefinition
 from .orthopoly import NodeSet
@@ -49,6 +50,12 @@ class Transcript:
     method's extra sample is node n.  Every nonlinear term reads one node
     and the defect block is linear, so the Lagrangian Hessian has no entry
     between unknowns with different labels.
+
+    ``full_row_rank`` says whether the differentiation matrix has full row
+    rank: true for the augmented N x (N+1) matrix, false for the square one,
+    which loses a rank.  The solver then takes the constraint Jacobian to
+    have full row rank too, as the augmented construction intends, and reads
+    the KKT inertia off the reduced Hessian.
     """
 
     def __init__(self, ocp: OcpDefinition, ns: NodeSet, method: Method):
@@ -70,6 +77,7 @@ class Transcript:
         else:
             raise ValueError(f"unknown method {method!r}")
 
+        self.full_row_rank = numerical_rank(self.diff.entries) == self.n
         self.n_state_nodes = state_taus.size
         self.state_times = self.map_time(state_taus)
         self.collocation_times = self.map_time(ns.collocation)

@@ -9,12 +9,13 @@ import pytest
 
 import auglobatto
 from auglobatto import nlpsolve
+from auglobatto.discretization import numerical_rank
 from auglobatto.nlpsolve import (
     MaxIterationsError,
     SingularKktError,
     SolverOptions,
     _hessian_fd,
-    _hopeless_below,
+    _inertia_band,
     _lagrangian_gradient,
     _solve_kkt,
     solve,
@@ -29,9 +30,10 @@ class QuadraticProbe:
     point; the default curvature gives min ||z||^2.
 
     Quacks like a Transcript as far as the solver cares: it only needs the
-    guess, the sizes, the node labels and the three callbacks.  Each unknown
-    is its own node, which is exact here: the Lagrangian Hessian is
-    curvature * I.
+    guess, the sizes, the node labels, the rank flag and the three
+    callbacks.  Each unknown is its own node, which is exact here: the
+    Lagrangian Hessian is curvature * I.  The rank flag is that of A, the
+    constraint Jacobian.
     """
 
     def __init__(self, A, b, guess, curvature=2.0):
@@ -41,6 +43,7 @@ class QuadraticProbe:
         self.curvature = curvature
         self.n_z = self.guess.size
         self.node_labels = np.arange(self.n_z)
+        self.full_row_rank = numerical_rank(self.A) == self.A.shape[0]
 
     def initial_guess_vector(self):
         return self.guess.copy()
@@ -109,24 +112,25 @@ def test_positive_reduced_hessian_starts_at_zero():
     # inertia of a minimizer.
     H = np.diag([-1.0, 1.0, 1.0])
     J = first_coordinate_row()
-    assert _hopeless_below(H, J) < 0.0
-    step, dual_shifted = _solve_kkt(H, J, np.ones(4), 0.0, 1e6)
+    fails_below, _ = _inertia_band(H, J, True)
+    assert fails_below < 0.0
+    step, dual_shifted = _solve_kkt(H, J, np.ones(4), 0.0, 1e6, False)
     assert step is not None and not dual_shifted
 
 
 def test_negative_reduced_hessian_skips_what_fails():
     H = np.diag([1.0, -3.0, 1.0])
     J = first_coordinate_row()
-    bound = _hopeless_below(H, J)
+    bound, _ = _inertia_band(H, J, True)
     assert 3.0 - 1e-5 < bound < 3.0
-    assert _solve_kkt(H, J, np.ones(4), np.nextafter(bound, 0.0), 1e6)[0] is None
-    assert _solve_kkt(H, J, np.ones(4), 3.5, 1e6)[0] is not None
+    assert _solve_kkt(H, J, np.ones(4), np.nextafter(bound, 0.0), 1e6, False)[0] is None
+    assert _solve_kkt(H, J, np.ones(4), 3.5, 1e6, False)[0] is not None
 
 
 def test_no_null_space_skips_nothing():
     H = -np.eye(2)
-    assert _hopeless_below(H, np.eye(2)) == -np.inf
-    assert _hopeless_below(H, np.ones((3, 2))) == -np.inf
+    assert _inertia_band(H, np.eye(2), True) == (-np.inf, np.inf)
+    assert _inertia_band(H, np.ones((3, 2)), True) == (-np.inf, np.inf)
 
 
 def test_start_beyond_cap_raises_the_old_error(monkeypatch):
@@ -147,14 +151,14 @@ def test_start_beyond_cap_raises_the_old_error(monkeypatch):
 
 def record_factorizations(monkeypatch, t):
     """Solve t and return, per Newton step, the tries solve made as
-    (H, J, rhs, delta, step_cap, step, dual_shifted) tuples."""
+    (H, J, rhs, delta, step_cap, step, dual_shifted, inertia_known) tuples."""
     steps = []
 
-    def recording(H, J, rhs, delta, step_cap):
-        step, dual_shifted = _solve_kkt(H, J, rhs, delta, step_cap)
+    def recording(H, J, rhs, delta, step_cap, inertia_known):
+        step, dual_shifted = _solve_kkt(H, J, rhs, delta, step_cap, inertia_known)
         if not steps or steps[-1][0][0] is not H:
             steps.append([])
-        steps[-1].append((H, J, rhs, delta, step_cap, step, dual_shifted))
+        steps[-1].append((H, J, rhs, delta, step_cap, step, dual_shifted, inertia_known))
         return step, dual_shifted
 
     monkeypatch.setattr(nlpsolve, "_solve_kkt", recording)
@@ -182,7 +186,7 @@ def test_skipped_regularizations_match_doubling_from_zero(factory, n, method, mo
         # and doubled from 1e-8 until a factorization passed.
         delta = 0.0
         while True:
-            step, dual_shifted = _solve_kkt(H, J, rhs, delta, step_cap)
+            step, dual_shifted = _solve_kkt(H, J, rhs, delta, step_cap, False)
             if delta < first_tried:
                 assert step is None
                 skipped += 1
@@ -197,6 +201,88 @@ def test_skipped_regularizations_match_doubling_from_zero(factory, n, method, mo
             np.testing.assert_array_equal(step, factored[5])
     # Every case starts some step past delta = 0.
     assert skipped > 0
+    # The square transcripts never skip the inertia test; orbit does.
+    certified = sum(tr[7] for tries in steps for tr in tries)
+    assert (certified > 0) == (method is Method.NEW_LOBATTO)
+
+
+@pytest.mark.parametrize(
+    "factory, n",
+    [(orbit_raising, n) for n in (25, 45)]
+    + [(lambda: nonlinear_ivp()[0], n) for n in range(6, 26)],
+    ids=["orbit-25", "orbit-45"] + [f"augmented-ivp-{n}" for n in range(6, 26)],
+)
+def test_certified_tries_match_the_inertia_test(factory, n, monkeypatch):
+    t = transcribe(factory(), lobatto_nodes(n), Method.NEW_LOBATTO)
+    steps = record_factorizations(monkeypatch, t)
+    assert steps
+    certified = 0
+    for tries in steps:
+        replayed = []
+        for H, J, rhs, delta, step_cap, step, dual_shifted, inertia_known in tries:
+            if not inertia_known:
+                replayed.append(step)
+                continue
+            certified += 1
+            # The eigenvalue test would have passed without a dual shift and
+            # factored the same matrix.
+            reference, reference_shifted = _solve_kkt(H, J, rhs, delta, step_cap, False)
+            assert not reference_shifted
+            assert (reference is None) == (step is None)
+            if step is not None:
+                np.testing.assert_array_equal(step, reference)
+            replayed.append(reference)
+        first = next((k for k, step in enumerate(replayed) if step is not None), None)
+        assert first == next((k for k, tr in enumerate(tries) if tr[5] is not None), None)
+    assert certified > 0
+
+
+def kkt_eigvalsh_calls(monkeypatch, n):
+    """Count the eigvalsh calls on matrices of size n from now on."""
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(
+        np.linalg, "eigvalsh", lambda a: calls.append(a.shape == (n, n)) or eigvalsh(a)
+    )
+    return calls
+
+
+def test_certified_try_skips_the_kkt_eigenvalues(monkeypatch):
+    # Curvature 2 leaves a reduced Hessian of 2 I, far above the band: every
+    # try is certified and only the 2 x 2 reduced Hessian is decomposed.
+    calls = kkt_eigvalsh_calls(monkeypatch, 4)
+    _, _, report = solve(pin_first_coordinate())
+    assert report.converged
+    assert len(calls) == report.iterations > 0
+    assert not any(calls)
+
+
+def test_delta_inside_the_band_runs_the_inertia_test(monkeypatch):
+    # Curvature 1e-6 puts delta = 0 inside the band, 1e-5 wide above the
+    # reduced Hessian's zero crossing: the 4 x 4 KKT matrix gets today's
+    # eigenvalue test, which accepts it.
+    fails_below, certain_above = _inertia_band(1e-6 * np.eye(3), first_coordinate_row(), True)
+    assert fails_below < 0.0 < certain_above
+    calls = kkt_eigvalsh_calls(monkeypatch, 4)
+    probe = QuadraticProbe(first_coordinate_row(), [1.0], np.full(3, 0.7), curvature=1e-6)
+    _, _, report = solve(probe)
+    assert report.converged
+    assert calls.count(True) == report.iterations > 0
+
+
+def test_rank_deficient_probe_never_certifies(monkeypatch):
+    # The same probe as the certified one, marked rank-deficient: every try
+    # runs the eigenvalue test, and the iterates do not change.
+    z, mult, _ = solve(pin_first_coordinate())
+    probe = pin_first_coordinate()
+    probe.full_row_rank = False
+    assert _inertia_band(2.0 * np.eye(3), first_coordinate_row(), False)[1] == np.inf
+    calls = kkt_eigvalsh_calls(monkeypatch, 4)
+    z_tested, mult_tested, report = solve(probe)
+    assert report.converged
+    assert calls.count(True) == report.iterations > 0
+    np.testing.assert_array_equal(z_tested, z)
+    np.testing.assert_array_equal(mult_tested, mult)
 
 
 # -- grouped Hessian -------------------------------------------------------

@@ -78,6 +78,15 @@ class TestLayout:
         assert t.collocation_times[0] == 0.0
         assert t.collocation_times[-1] == pytest.approx(3.32)
 
+    @pytest.mark.parametrize("method", list(Method))
+    def test_full_row_rank_marks_the_augmented_method(self, method):
+        # The solver certifies KKT inertia only on full-row-rank transcripts;
+        # the square matrix loses a rank at every size of the sweeps.
+        defn, _ = nonlinear_ivp()
+        for n in range(3, 31):
+            t = transcribe(defn, lobatto_nodes(n), method)
+            assert t.full_row_rank == (method is Method.NEW_LOBATTO)
+
     def test_wrong_length_rejected(self):
         defn, _ = nonlinear_ivp()
         t = transcribe(defn, lobatto_nodes(5), Method.NEW_LOBATTO)
