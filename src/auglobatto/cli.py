@@ -62,10 +62,12 @@ class ConvergenceRecord:
     converged: bool
 
     def __post_init__(self):
-        for value in (self.e_x, self.e_u, self.e_lambda):
-            if value is not None and value < 0:
-                raise ValueError("error norms must be non-negative")
-        if not self.converged and self.e_x is not None:
+        errors = (self.e_x, self.e_u, self.e_lambda)
+        if any(value is not None and value < 0 for value in errors):
+            raise ValueError("error norms must be non-negative")
+        if self.converged and None in errors:
+            raise ValueError("converged records must carry every error")
+        if not self.converged and errors != (None, None, None):
             raise ValueError("non-converged records must carry missing errors")
 
 

@@ -34,6 +34,16 @@ Each point is evaluated once: an accepted line-search trial's gradient,
 Jacobian, constraint values and KKT vector carry into the next step.  The
 regularization and line-search constants are fixed; ``SolverOptions`` sets
 the KKT tolerance and the iteration budget.
+
+A solve that has stalled stops before the budget runs out.  The report keeps
+the gradient and constraint residuals of every iterate, and when one of them
+has stayed within the tolerance for the last ``_STALL_WINDOW`` iterations while
+the other has stayed above it without falling to ``_STALL_FACTOR`` of where
+the window began, the loop raises ``MaxIterationsError`` naming both.  The
+rank-deficient square transcripts end this way: their Newton steps keep one
+residual converged and leave the other on a floor just above the tolerance.
+A solve that is still making progress, such as one whose merit is flat while
+both residuals stay above the tolerance, never meets the rule.
 """
 
 from __future__ import annotations
@@ -48,6 +58,8 @@ _REGULARIZATION_INITIAL = 1e-8
 _REGULARIZATION_CAP = 1e8
 _LINE_SEARCH_SHRINK = 0.5
 _MIN_STEP = 1e-12
+_STALL_WINDOW = 20
+_STALL_FACTOR = 0.5
 
 
 @dataclass(frozen=True)
@@ -64,20 +76,34 @@ class SolverOptions:
 
 @dataclass
 class SolveReport:
+    """What a solve did, up to the iterate it ended on.
+
+    ``iterations`` counts the Newton steps taken.  ``residuals`` holds the
+    (gradient, constraint) max-norm pair of every iterate from the guess on,
+    ``iterations + 1`` pairs; ``final_kkt_norm`` is the larger entry of the
+    last one.  ``step_history`` holds an (iteration, merit, alpha) tuple per
+    accepted step.
+    """
+
     converged: bool
     iterations: int
     final_kkt_norm: float
     step_history: list = field(default_factory=list)
+    residuals: list = field(default_factory=list)
 
 
 class MaxIterationsError(RuntimeError):
-    """Iteration budget exhausted before reaching tolerance."""
+    """The solve stopped short of the tolerance: either the iteration budget
+    ran out, or the solve stalled, with one residual converged and the other
+    stuck (``stall`` then names both, and ``report.iterations`` is the
+    iteration it stopped at)."""
 
-    def __init__(self, report: SolveReport):
-        super().__init__(
-            f"no convergence in {report.iterations} iterations "
-            f"(KKT norm {report.final_kkt_norm:.3e})"
-        )
+    def __init__(self, report: SolveReport, stall: str | None = None):
+        if stall is None:
+            reason = f"no convergence in {report.iterations} iterations"
+        else:
+            reason = f"stalled at iteration {report.iterations}: {stall}"
+        super().__init__(f"{reason} (KKT norm {report.final_kkt_norm:.3e})")
         self.report = report
 
 
@@ -116,18 +142,48 @@ def _multiplier_estimate(point):
 
 def _hessian_fd(t: Transcript, z, mult, base, step=1e-7):
     """Lagrangian Hessian by node-grouped forward differences from the
-    gradient ``base`` at (z, mult): an unknown's group is its rank among the
-    unknowns of its node (``t.node_labels``)."""
-    same_node = t.node_labels[:, None] == t.node_labels[None, :]
-    group = np.count_nonzero(np.tril(same_node, -1), axis=1)
+    gradient ``base`` at (z, mult), one gradient per group of
+    ``t.node_groups``."""
     H = np.zeros((z.size, z.size))
-    for g in range(group.max() + 1):
-        cols = group == g
+    for cols, same_node in t.node_groups:
         bumped = z.copy()
         bumped[cols] += step
         diff = (_lagrangian_gradient(t, bumped, mult) - base) / step
-        H[:, cols] = np.where(same_node[:, cols], diff[:, None], 0.0)
+        H[:, cols] = np.where(same_node, diff[:, None], 0.0)
     return 0.5 * (H + H.T)
+
+
+def _residuals(kkt, n):
+    """The max-norm gradient and constraint residuals of a KKT vector."""
+    constraint = float(np.max(np.abs(kkt[n:]))) if kkt.size > n else 0.0
+    return float(np.max(np.abs(kkt[:n]))), constraint
+
+
+def _stall(residuals, tolerance):
+    """Why a solve with this residual history has stalled, or None.
+
+    It has when, over the last ``_STALL_WINDOW`` iterations (the iterates
+    from that many steps back to the current one), one residual stayed at or
+    below ``tolerance`` and the other stayed above it and ended above
+    ``_STALL_FACTOR`` times where it began.
+    """
+    if len(residuals) <= _STALL_WINDOW:
+        return None
+    window = np.array(residuals[-_STALL_WINDOW - 1 :])
+    names = ("gradient", "constraint")
+    for done, stuck in ((0, 1), (1, 0)):
+        history = window[:, stuck]
+        if (
+            np.all(window[:, done] <= tolerance)
+            and np.all(history > tolerance)
+            and history[-1] > _STALL_FACTOR * history[0]
+        ):
+            return (
+                f"{names[done]} residual within {tolerance:.1e} for "
+                f"{_STALL_WINDOW} iterations, {names[stuck]} residual stuck at "
+                f"{history[-1]:.3e} (from {history[0]:.3e})"
+            )
+    return None
 
 
 def _regularizations():
@@ -243,8 +299,9 @@ def solve(t: Transcript, opts: SolverOptions = SolverOptions()):
     """Newton-iterate the transcript to a KKT point.
 
     Returns (z, multipliers, report).  Raises MaxIterationsError when the
-    budget runs out and SingularKktError when no regularization in range
-    rescues the factorization, both with the report attached.
+    budget runs out or the residuals stall (``_stall``), and
+    SingularKktError when no regularization in range rescues the
+    factorization, both with the report attached.
     """
     z = t.initial_guess_vector()
     n = t.n_z
@@ -257,13 +314,16 @@ def solve(t: Transcript, opts: SolverOptions = SolverOptions()):
     report = SolveReport(converged=False, iterations=0, final_kkt_norm=np.inf)
 
     for iteration in range(opts.max_iterations):
-        grad_norm = np.max(np.abs(kkt[:n]))
-        cons_norm = np.max(np.abs(kkt[n:])) if kkt.size > n else 0.0
         report.iterations = iteration
+        grad_norm, cons_norm = _residuals(kkt, n)
+        report.residuals.append((grad_norm, cons_norm))
         report.final_kkt_norm = max(grad_norm, cons_norm)
         if grad_norm <= opts.kkt_tolerance and cons_norm <= opts.kkt_tolerance:
             report.converged = True
             return z, mult, report
+        stall = _stall(report.residuals, opts.kkt_tolerance)
+        if stall is not None:
+            raise MaxIterationsError(report, stall)
 
         _, J, _ = point
         H = _hessian_fd(t, z, mult, kkt[:n])
@@ -304,5 +364,6 @@ def solve(t: Transcript, opts: SolverOptions = SolverOptions()):
             break
 
     report.iterations = opts.max_iterations
-    report.final_kkt_norm = float(np.max(np.abs(kkt)))
+    report.residuals.append(_residuals(kkt, n))
+    report.final_kkt_norm = max(report.residuals[-1])
     raise MaxIterationsError(report)

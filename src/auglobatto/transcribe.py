@@ -49,7 +49,12 @@ class Transcript:
     ``node_labels`` holds the grid node of every unknown; the augmented
     method's extra sample is node n.  Every nonlinear term reads one node
     and the defect block is linear, so the Lagrangian Hessian has no entry
-    between unknowns with different labels.
+    between unknowns with different labels.  ``node_groups`` sorts the
+    unknowns by their rank among the unknowns of their node, one
+    ``(columns, same_node)`` pair per rank: a boolean mask of the group's
+    unknowns, and for each of them a boolean column marking the unknowns of
+    its node.  No two unknowns of a group share a node, so one perturbed
+    gradient gives the Hessian columns of a whole group.
 
     ``full_row_rank`` says whether the differentiation matrix has full row
     rank: true for the augmented N x (N+1) matrix, false for the square one,
@@ -88,6 +93,12 @@ class Transcript:
         self.node_labels = self.pack(
             np.repeat(np.arange(self.n_state_nodes), self.n_x),
             np.repeat(np.arange(self.n), self.n_u),
+        )
+        same_node = self.node_labels[:, None] == self.node_labels[None, :]
+        rank = np.count_nonzero(np.tril(same_node, -1), axis=1)
+        self.node_groups = tuple(
+            (cols, same_node[:, cols])
+            for cols in (rank == g for g in range(rank.max() + 1))
         )
 
         # The defect rows are linear in the states; precompute that block.

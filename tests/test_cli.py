@@ -204,6 +204,28 @@ def test_solve_failure_exits_nonzero(tmp_path, capsys):
     assert not path.exists()
 
 
+def test_stalled_solve_exits_nonzero_and_names_the_stall(tmp_path, capsys):
+    path = tmp_path / "stall.csv"
+    code, _, err = run(
+        capsys,
+        "solve",
+        "--problem",
+        "nonlinear-ivp",
+        "--method",
+        "standard-lobatto",
+        "--n",
+        "7",
+        "--out",
+        str(path),
+    )
+    assert code == 1
+    assert "solve failed" in err
+    assert "stalled at iteration" in err
+    assert "constraint residual within" in err
+    assert "gradient residual stuck" in err
+    assert not path.exists()
+
+
 @pytest.mark.parametrize(
     "flags", [["--tol", "1e-3"], ["--tol", "-1"], ["--max-iter", "0"]]
 )
@@ -306,7 +328,16 @@ def test_converge_rejects_unknown_method(tmp_path):
 
 
 def test_convergence_record_rejects_bad_data():
-    with pytest.raises(ValueError):
-        cli.ConvergenceRecord(10, "new-lobatto", -1.0, 0.0, 0.0, True)
-    with pytest.raises(ValueError):
-        cli.ConvergenceRecord(10, "new-lobatto", 1.0, 1.0, 1.0, False)
+    # (e_x, e_u, e_lambda), converged: a negative error, a non-converged
+    # record with any error filled, a converged one with any error missing.
+    for errors, converged in [
+        ((-1.0, 0.0, 0.0), True),
+        ((0.0, 0.0, -1.0), True),
+        ((1.0, 1.0, 1.0), False),
+        ((None, 1.0, None), False),
+        ((None, None, 1.0), False),
+        ((None, None, None), True),
+        ((1.0, None, 1.0), True),
+    ]:
+        with pytest.raises(ValueError):
+            cli.ConvergenceRecord(10, "new-lobatto", *errors, converged)

@@ -18,6 +18,7 @@ from auglobatto.nlpsolve import (
     _inertia_band,
     _lagrangian_gradient,
     _solve_kkt,
+    _stall,
     solve,
 )
 from auglobatto.ocp import nonlinear_ivp, orbit_raising
@@ -30,10 +31,10 @@ class QuadraticProbe:
     point; the default curvature gives min ||z||^2.
 
     Quacks like a Transcript as far as the solver cares: it only needs the
-    guess, the sizes, the node labels, the rank flag and the three
+    guess, the sizes, the node groups, the rank flag and the three
     callbacks.  Each unknown is its own node, which is exact here: the
-    Lagrangian Hessian is curvature * I.  The rank flag is that of A, the
-    constraint Jacobian.
+    Lagrangian Hessian is curvature * I, and one group holds every unknown.
+    The rank flag is that of A, the constraint Jacobian.
     """
 
     def __init__(self, A, b, guess, curvature=2.0):
@@ -42,7 +43,7 @@ class QuadraticProbe:
         self.guess = np.asarray(guess, dtype=float)
         self.curvature = curvature
         self.n_z = self.guess.size
-        self.node_labels = np.arange(self.n_z)
+        self.node_groups = ((np.ones(self.n_z, dtype=bool), np.eye(self.n_z, dtype=bool)),)
         self.full_row_rank = numerical_rank(self.A) == self.A.shape[0]
 
     def initial_guess_vector(self):
@@ -425,10 +426,102 @@ def test_max_iterations_carries_report():
     t = transcribe(defn, lobatto_nodes(15), Method.NEW_LOBATTO)
     with pytest.raises(MaxIterationsError) as err:
         solve(t, SolverOptions(max_iterations=3))
+    assert str(err.value).startswith("no convergence in 3 iterations")
     report = err.value.report
     assert not report.converged
     assert report.iterations == 3
     assert np.isfinite(report.final_kkt_norm)
+    assert len(report.residuals) == 4
+    assert report.final_kkt_norm == max(report.residuals[-1])
+
+
+# -- stall stop ------------------------------------------------------------
+
+
+def test_stall_needs_a_converged_residual_and_a_stuck_one():
+    tol = 1e-10
+    window = nlpsolve._STALL_WINDOW
+    stuck = [(1e-12, 3e-9)] * (window + 1)
+    assert _stall(stuck[:-1], tol) is None  # the window is not full yet
+    assert "constraint residual stuck at 3.000e-09" in _stall(stuck, tol)
+    assert "gradient residual stuck" in _stall([(c, g) for g, c in stuck], tol)
+    # Falling by 0.97 per step is not halving over 20 steps; 0.96 is.
+    slow = [(1e-12, 3e-9 * 0.97**k) for k in range(window + 1)]
+    assert _stall(slow, tol) is not None
+    falling = [(1e-12, 3e-9 * 0.96**k) for k in range(window + 1)]
+    assert _stall(falling, tol) is None
+    # Neither residual converged, or the converged one left the tolerance.
+    assert _stall([(2e-10, 3e-9)] * (window + 1), tol) is None
+    assert _stall([(2e-10, 3e-9)] + stuck[1:], tol) is None
+    # The stuck residual touched the tolerance inside the window.
+    assert _stall(stuck[:5] + [(1e-12, 1e-10)] + stuck[6:], tol) is None
+
+
+@pytest.mark.parametrize("n, before, done", [(7, 80, "constraint"), (17, 50, "gradient")])
+def test_square_stall_stops_early(n, before, done):
+    # Square N=7 holds its constraints at 7e-16 and its gradient at
+    # 2.14e-10; N=17 the other way round.  Both ran the whole budget.
+    t = transcribe(nonlinear_ivp()[0], lobatto_nodes(n), Method.STANDARD_LOBATTO)
+    with pytest.raises(MaxIterationsError) as err:
+        solve(t)
+    report = err.value.report
+    assert not report.converged
+    assert report.iterations < before
+    assert len(report.residuals) == report.iterations + 1
+    assert len(report.step_history) == report.iterations
+    assert report.final_kkt_norm == max(report.residuals[-1])
+    tol = SolverOptions().kkt_tolerance
+    names = ("gradient", "constraint")
+    k = names.index(done)
+    window = np.array(report.residuals[-nlpsolve._STALL_WINDOW - 1 :])
+    assert np.all(window[:, k] <= tol)
+    assert np.all(window[:, 1 - k] > tol)
+    assert str(err.value).startswith(
+        f"stalled at iteration {report.iterations}: {done} residual within 1.0e-10"
+    )
+    assert f"{names[1 - k]} residual stuck at" in str(err.value)
+
+
+def solve_outcome(t):
+    """(outcome, report, z, multipliers) of a solve; no iterate on failure."""
+    try:
+        z, mult, report = solve(t)
+    except (MaxIterationsError, SingularKktError) as exc:
+        return type(exc).__name__, exc.report, None, None
+    return "converged", report, z, mult
+
+
+@pytest.mark.parametrize(
+    "factory, n, method",
+    [(orbit_raising, n, Method.NEW_LOBATTO) for n in (25, 45)]
+    + [(lambda: nonlinear_ivp()[0], n, Method.NEW_LOBATTO) for n in range(6, 26)]
+    + [(lambda: nonlinear_ivp()[0], n, Method.STANDARD_LOBATTO) for n in range(6, 14)],
+    ids=["orbit-25", "orbit-45"]
+    + [f"augmented-ivp-{n}" for n in range(6, 26)]
+    + [f"square-ivp-{n}" for n in range(6, 14)],
+)
+def test_stall_stop_replays_the_budget_loop(factory, n, method, monkeypatch):
+    # Reference: a window longer than the budget never fires, which is the
+    # loop that ran every failing solve to its last iteration.
+    t = transcribe(factory(), lobatto_nodes(n), method)
+    outcome, report, z, mult = solve_outcome(t)
+    monkeypatch.setattr(nlpsolve, "_STALL_WINDOW", SolverOptions().max_iterations + 1)
+    reference, ref_report, ref_z, ref_mult = solve_outcome(t)
+    steps = report.iterations
+    assert report.step_history == ref_report.step_history[:steps]
+    assert report.residuals == ref_report.residuals[: steps + 1]
+    if (n, method) == (7, Method.STANDARD_LOBATTO):
+        # The one stalled solve of this range stops early, on the same path.
+        assert outcome == reference == "MaxIterationsError"
+        assert ref_report.iterations == SolverOptions().max_iterations
+        assert steps < ref_report.iterations
+        return
+    # With the same step count, the prefixes above are the whole records.
+    assert outcome == reference
+    assert steps == ref_report.iterations
+    if outcome == "converged":
+        assert z.tobytes() == ref_z.tobytes()
+        assert mult.tobytes() == ref_mult.tobytes()
 
 
 @pytest.mark.parametrize("n", [8, 11])
@@ -444,6 +537,7 @@ def test_singular_kkt_carries_report(n):
     assert not report.converged
     assert np.isfinite(report.final_kkt_norm)
     assert len(report.step_history) == report.iterations
+    assert len(report.residuals) == report.iterations + 1
 
 
 def test_solves_without_scipy():
