@@ -30,6 +30,15 @@ negative shift on the constraint block.  The step length comes from
 backtracking on the Euclidean norm of the full KKT residual.  Problems here
 have a few hundred unknowns at most, so everything is dense.
 
+The loop is bounded twice over (the bounded inertia correction of IPOPT,
+Waechter & Biegler 2006, section 3.1).  Past ``_REGULARIZATION_CAP`` it
+raises ``SingularKktError``, and it raises the same error, sooner, once the
+line search has found no step length at ``_MAX_FAILED_SEARCHES``
+regularizations of one Newton step.  That bound is measured, not a fixed
+delta: no Newton step of a converging solve of the benchmark problems fails
+more than 2 line searches, while the rank-deficient square transcripts that
+end singular fail 23 to 33 in one step, each a full backtracking run.
+
 Each point is evaluated once: an accepted line-search trial's gradient,
 Jacobian, constraint values and KKT vector carry into the next step.  The
 regularization and line-search constants are fixed; ``SolverOptions`` sets
@@ -60,6 +69,7 @@ _LINE_SEARCH_SHRINK = 0.5
 _MIN_STEP = 1e-12
 _STALL_WINDOW = 20
 _STALL_FACTOR = 0.5
+_MAX_FAILED_SEARCHES = 8
 
 
 @dataclass(frozen=True)
@@ -108,12 +118,14 @@ class MaxIterationsError(RuntimeError):
 
 
 class SingularKktError(RuntimeError):
-    """KKT matrix stayed singular beyond the regularization cap."""
+    """No regularization gave a usable Newton step: either the line search
+    found no step length at ``_MAX_FAILED_SEARCHES`` regularizations of one
+    step, or every regularization up to the cap failed.  ``reason`` says
+    which, and ``report.iterations`` is the step it stopped at."""
 
-    def __init__(self, report: SolveReport, delta: float):
+    def __init__(self, report: SolveReport, reason: str):
         super().__init__(
-            f"KKT system unusable at iteration {report.iterations} "
-            f"(regularization {delta:.1e})"
+            f"KKT system unusable at iteration {report.iterations} ({reason})"
         )
         self.report = report
 
@@ -258,7 +270,7 @@ def _solve_kkt(H, J, rhs, delta, step_cap, inertia_known):
     K = np.zeros((n + m, n + m))
     K[:n, :n] = H
     if delta:
-        K[:n, :n] += delta * np.eye(n)
+        K[np.diag_indices(n)] += delta
     K[:n, n:] = J.T
     K[n:, :n] = J
     dual_shifted = False
@@ -300,8 +312,9 @@ def solve(t: Transcript, opts: SolverOptions = SolverOptions()):
 
     Returns (z, multipliers, report).  Raises MaxIterationsError when the
     budget runs out or the residuals stall (``_stall``), and
-    SingularKktError when no regularization in range rescues the
-    factorization, both with the report attached.
+    SingularKktError when no regularization gives a usable step
+    (``_MAX_FAILED_SEARCHES`` fruitless line searches, or the cap), both
+    with the report attached.
     """
     z = t.initial_guess_vector()
     n = t.n_z
@@ -332,9 +345,10 @@ def solve(t: Transcript, opts: SolverOptions = SolverOptions()):
         step_cap = 1e6 * max(1.0, np.linalg.norm(z))
         fails_below, certain_above = _inertia_band(H, J, t.full_row_rank)
         # Stiffen until the factorization succeeds and a step length helps.
+        failed_searches = 0
         for delta in _regularizations():
             if delta > _REGULARIZATION_CAP:
-                raise SingularKktError(report, delta)
+                raise SingularKktError(report, f"regularization {delta:.1e}")
             if delta < fails_below:
                 continue
             step, dual_shifted = _solve_kkt(
@@ -353,7 +367,14 @@ def solve(t: Transcript, opts: SolverOptions = SolverOptions()):
                     break
                 alpha *= _LINE_SEARCH_SHRINK
             else:
-                continue  # no step length helped
+                failed_searches += 1
+                if failed_searches == _MAX_FAILED_SEARCHES:
+                    raise SingularKktError(
+                        report,
+                        f"no step length helped at {failed_searches} "
+                        f"regularizations up to {delta:.1e}",
+                    )
+                continue
             z, mult, point, kkt = trial_z, trial_mult, trial_point, trial_kkt
             if dual_shifted:
                 # The shifted dual block leaves a residual floor at the shift

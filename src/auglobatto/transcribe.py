@@ -56,6 +56,11 @@ class Transcript:
     its node.  No two unknowns of a group share a node, so one perturbed
     gradient gives the Hessian columns of a whole group.
 
+    The defect rows are linear in the states, so a Jacobian template built
+    once holds that block; ``jacobian`` copies it and scatters the per-node
+    dynamics Jacobians into the copy.  ``objective_gradient`` and
+    ``constraints`` each fill one new vector.
+
     ``full_row_rank`` says whether the differentiation matrix has full row
     rank: true for the augmented N x (N+1) matrix, false for the square one,
     which loses a rank.  The solver then takes the constraint Jacobian to
@@ -101,10 +106,19 @@ class Transcript:
             for cols in (rank == g for g in range(rank.max() + 1))
         )
 
-        # The defect rows are linear in the states; precompute that block.
-        self._defect_state_block = -np.kron(
+        # The template holds the defect block that is linear in the states;
+        # the flat indices place each node's A and B blocks in the row-major
+        # (n_constraints, n_z) Jacobian.
+        self._jacobian_template = np.zeros((self.n_constraints, self.n_z))
+        self._jacobian_template[: self.n_defect, : self.n_state_vars] = -np.kron(
             self.diff.entries, np.eye(self.n_x)
         ) / self.half_dt
+        node, row, col = np.indices((self.n, self.n_x, self.n_x))
+        self._a_index = ((node * self.n_x + row) * self.n_z + node * self.n_x + col).ravel()
+        node, row, col = np.indices((self.n, self.n_x, self.n_u))
+        cols = self.n_state_vars + node * self.n_u + col
+        self._b_index = ((node * self.n_x + row) * self.n_z + cols).ravel()
+        self._quadrature = self.half_dt * ns.weights[:, None]
 
         self._validate_shapes()
 
@@ -147,37 +161,37 @@ class Transcript:
         ocp = self.ocp
         n = self.n
         hx, hu = ocp.running_cost_gradients(self.collocation_times, states[:n], controls)
-        scale = self.half_dt * self.ns.weights[:, None]
-        g_states = np.zeros_like(states)
-        g_states[:n] = scale * hx
+        gradient = np.zeros(self.n_z)
+        g_states = gradient[: self.n_state_vars].reshape(self.n_state_nodes, self.n_x)
+        g_states[:n] = self._quadrature * hx
         g_states[0] += ocp.endpoint_cost_initial_gradient(ocp.t0, states[0])
         g_states[n - 1] += ocp.endpoint_cost_final_gradient(ocp.tf, states[n - 1])
-        return self.pack(g_states, scale * hu)
+        gradient[self.n_state_vars :] = (self._quadrature * hu).ravel()
+        return gradient
 
     def constraints(self, z) -> np.ndarray:
         states, controls = self.unpack(z)
         ocp = self.ocp
+        values = np.empty(self.n_constraints)
         rhs = ocp.dynamics(self.collocation_times, states[: self.n], controls)
-        defects = rhs - (self.diff.entries @ states) / self.half_dt
-        tail = [defects.ravel()]
-        tail.append(np.atleast_1d(ocp.boundary_initial(ocp.t0, states[0])))
-        tail.append(np.atleast_1d(ocp.boundary_final(ocp.tf, states[self.n - 1])))
-        return np.concatenate(tail)
+        values[: self.n_defect] = (rhs - (self.diff.entries @ states) / self.half_dt).ravel()
+        row0 = self.n_defect + ocp.n_phi0
+        values[self.n_defect : row0] = ocp.boundary_initial(ocp.t0, states[0])
+        values[row0:] = ocp.boundary_final(ocp.tf, states[self.n - 1])
+        return values
 
     def jacobian(self, z) -> np.ndarray:
         states, controls = self.unpack(z)
         ocp = self.ocp
         A, B = ocp.dynamics_jacobians(self.collocation_times, states[: self.n], controls)
-        J = np.zeros((self.n_constraints, self.n_z))
-        J[: self.n_defect, : self.n_state_vars] = self._defect_state_block
-        J[: self.n_defect, : self.n_defect] += _block_diagonal(A)
-        J[: self.n_defect, self.n_state_vars :] = _block_diagonal(B)
-        row0 = self.n_defect
-        J[row0 : row0 + ocp.n_phi0, : self.n_x] = np.atleast_2d(
-            ocp.boundary_initial_jacobian(ocp.t0, states[0])
-        )
-        J[row0 + ocp.n_phi0 :, self.n_defect - self.n_x : self.n_defect] = np.atleast_2d(
-            ocp.boundary_final_jacobian(ocp.tf, states[self.n - 1])
+        J = self._jacobian_template.copy()
+        flat = J.reshape(-1)
+        flat[self._a_index] += A.ravel()
+        flat[self._b_index] = B.ravel()
+        row0 = self.n_defect + ocp.n_phi0
+        J[self.n_defect : row0, : self.n_x] = ocp.boundary_initial_jacobian(ocp.t0, states[0])
+        J[row0:, self.n_defect - self.n_x : self.n_defect] = ocp.boundary_final_jacobian(
+            ocp.tf, states[self.n - 1]
         )
         return J
 
@@ -206,14 +220,6 @@ def _check_shapes(name, arrays, *expected):
     shapes = tuple(np.shape(a) for a in arrays)
     if shapes != expected:
         raise ValueError(f"{name} returned shapes {shapes}, expected {expected}")
-
-
-def _block_diagonal(blocks):
-    """Stack of n (p, q) blocks -> (n p, n q) block-diagonal matrix."""
-    n, p, q = blocks.shape
-    out = np.zeros((n, p, n, q))
-    out[np.arange(n), :, np.arange(n), :] = blocks
-    return out.reshape(n * p, n * q)
 
 
 def transcribe(ocp: OcpDefinition, ns: NodeSet, method: Method) -> Transcript:

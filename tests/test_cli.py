@@ -226,6 +226,26 @@ def test_stalled_solve_exits_nonzero_and_names_the_stall(tmp_path, capsys):
     assert not path.exists()
 
 
+def test_singular_solve_exits_nonzero_and_names_the_failed_searches(tmp_path, capsys):
+    path = tmp_path / "singular.csv"
+    code, _, err = run(
+        capsys,
+        "solve",
+        "--problem",
+        "nonlinear-ivp",
+        "--method",
+        "standard-lobatto",
+        "--n",
+        "11",
+        "--out",
+        str(path),
+    )
+    assert code == 1
+    assert "solve failed" in err
+    assert "no step length helped at 8 regularizations" in err
+    assert not path.exists()
+
+
 @pytest.mark.parametrize(
     "flags", [["--tol", "1e-3"], ["--tol", "-1"], ["--max-iter", "0"]]
 )

@@ -491,7 +491,9 @@ def solve_outcome(t):
     return "converged", report, z, mult
 
 
-@pytest.mark.parametrize(
+# The benchmark's solver workloads: orbit N=25 and 45, the augmented IVP at
+# N=6..25 and the square IVP at N=6..13.
+replay_cases = pytest.mark.parametrize(
     "factory, n, method",
     [(orbit_raising, n, Method.NEW_LOBATTO) for n in (25, 45)]
     + [(lambda: nonlinear_ivp()[0], n, Method.NEW_LOBATTO) for n in range(6, 26)]
@@ -500,6 +502,9 @@ def solve_outcome(t):
     + [f"augmented-ivp-{n}" for n in range(6, 26)]
     + [f"square-ivp-{n}" for n in range(6, 14)],
 )
+
+
+@replay_cases
 def test_stall_stop_replays_the_budget_loop(factory, n, method, monkeypatch):
     # Reference: a window longer than the budget never fires, which is the
     # loop that ran every failing solve to its last iteration.
@@ -524,6 +529,30 @@ def test_stall_stop_replays_the_budget_loop(factory, n, method, monkeypatch):
         assert mult.tobytes() == ref_mult.tobytes()
 
 
+@replay_cases
+def test_failed_search_cap_replays_the_uncapped_loop(factory, n, method, monkeypatch):
+    # Reference: a cap above the 55 regularizations below _REGULARIZATION_CAP
+    # never fires, which leaves the loop that doubles delta up to the cap.
+    t = transcribe(factory(), lobatto_nodes(n), method)
+    outcome, report, z, mult = solve_outcome(t)
+    monkeypatch.setattr(nlpsolve, "_MAX_FAILED_SEARCHES", 56)
+    reference, ref_report, ref_z, ref_mult = solve_outcome(t)
+    steps = report.iterations
+    assert report.step_history == ref_report.step_history[:steps]
+    assert report.residuals == ref_report.residuals[: steps + 1]
+    if method is Method.STANDARD_LOBATTO and n in (8, 11):
+        # The two transcripts that end singular stop no later than the
+        # uncapped loop, on the same path.
+        assert outcome == reference == "SingularKktError"
+        assert steps <= ref_report.iterations
+        return
+    assert outcome == reference
+    assert steps == ref_report.iterations
+    if outcome == "converged":
+        assert z.tobytes() == ref_z.tobytes()
+        assert mult.tobytes() == ref_mult.tobytes()
+
+
 @pytest.mark.parametrize("n", [8, 11])
 def test_singular_kkt_carries_report(n):
     defn, _ = nonlinear_ivp()
@@ -531,7 +560,11 @@ def test_singular_kkt_carries_report(n):
     with pytest.raises(SingularKktError) as err:
         solve(t)
     message = str(err.value)
-    assert re.fullmatch(r"KKT system unusable at iteration \d+ \(regularization 1\.8e\+08\)", message)
+    assert re.fullmatch(
+        r"KKT system unusable at iteration \d+ "
+        r"\(no step length helped at 8 regularizations up to \d\.\de[+-]\d\d\)",
+        message,
+    )
     report = err.value.report
     assert report.iterations == int(re.search(r"iteration (\d+)", message).group(1))
     assert not report.converged

@@ -186,6 +186,73 @@ class TestDerivatives:
         np.testing.assert_allclose((d2 - d1).reshape(8, 1), expected, atol=1e-12)
 
 
+def block_diagonal(blocks):
+    """Stack of n (p, q) blocks -> (n p, n q) block-diagonal matrix."""
+    n, p, q = blocks.shape
+    out = np.zeros((n, p, n, q))
+    out[np.arange(n), :, np.arange(n), :] = blocks
+    return out.reshape(n * p, n * q)
+
+
+def reference_callbacks(t: Transcript, z):
+    """Objective gradient, constraints and Jacobian assembled per call from
+    zero arrays, ``pack`` and block-diagonal matrices."""
+    states, controls = t.unpack(z)
+    ocp, n = t.ocp, t.n
+    tc = t.collocation_times
+    scale = t.half_dt * t.ns.weights[:, None]
+    hx, hu = ocp.running_cost_gradients(tc, states[:n], controls)
+    g_states = np.zeros_like(states)
+    g_states[:n] = scale * hx
+    g_states[0] += ocp.endpoint_cost_initial_gradient(ocp.t0, states[0])
+    g_states[n - 1] += ocp.endpoint_cost_final_gradient(ocp.tf, states[n - 1])
+    gradient = t.pack(g_states, scale * hu)
+
+    defects = ocp.dynamics(tc, states[:n], controls) - (t.diff.entries @ states) / t.half_dt
+    constraints = np.concatenate(
+        [
+            defects.ravel(),
+            np.atleast_1d(ocp.boundary_initial(ocp.t0, states[0])),
+            np.atleast_1d(ocp.boundary_final(ocp.tf, states[n - 1])),
+        ]
+    )
+
+    A, B = ocp.dynamics_jacobians(tc, states[:n], controls)
+    J = np.zeros((t.n_constraints, t.n_z))
+    J[: t.n_defect, : t.n_state_vars] = -np.kron(t.diff.entries, np.eye(t.n_x)) / t.half_dt
+    J[: t.n_defect, : t.n_defect] += block_diagonal(A)
+    J[: t.n_defect, t.n_state_vars :] = block_diagonal(B)
+    row0 = t.n_defect
+    J[row0 : row0 + ocp.n_phi0, : t.n_x] = np.atleast_2d(
+        ocp.boundary_initial_jacobian(ocp.t0, states[0])
+    )
+    J[row0 + ocp.n_phi0 :, t.n_defect - t.n_x : t.n_defect] = np.atleast_2d(
+        ocp.boundary_final_jacobian(ocp.tf, states[n - 1])
+    )
+    return gradient, constraints, J
+
+
+@pytest.mark.parametrize(
+    "factory, n, method",
+    [(orbit_raising, n, Method.NEW_LOBATTO) for n in (25, 45)]
+    + [(lambda: nonlinear_ivp()[0], n, m) for m in Method for n in range(6, 14)],
+    ids=["orbit-25", "orbit-45"] + [f"ivp-{m.value}-{n}" for m in Method for n in range(6, 14)],
+)
+def test_callbacks_equal_the_block_diagonal_assembly(factory, n, method):
+    t = transcribe(factory(), lobatto_nodes(n), method)
+    rng = np.random.default_rng(n)
+    guess = t.initial_guess_vector()
+    for z in (guess, guess + 0.05 * rng.standard_normal(t.n_z)):
+        gradient, constraints, J = reference_callbacks(t, z)
+        # Each entry comes from the same floating-point operations; only
+        # the sign of some zeros off the node blocks may differ.
+        assert np.array_equal(t.objective_gradient(z), gradient)
+        assert np.array_equal(t.constraints(z), constraints)
+        assert np.array_equal(t.jacobian(z), J)
+        # The template is copied, not written through.
+        assert np.array_equal(t.jacobian(z), J)
+
+
 class TestCostateExtraction:
     def test_zero_multipliers(self):
         defn, _ = nonlinear_ivp()
