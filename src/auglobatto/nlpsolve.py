@@ -6,10 +6,10 @@ Each iteration assembles the KKT system
     [ J             0   ] [ dm  ] = [ -c        ]
 
 with H the Lagrangian Hessian, J the constraint Jacobian, and c the
-constraint values.  H is block diagonal by grid node, so its forward
-differences of the analytic gradient perturb one component at every node at
-once and keep the rows of each perturbed unknown's own node: n_x + n_u
-gradients per Hessian instead of one per unknown.
+constraint values.  The solver reads the problem only through the
+transcript: its guess, its objective gradient, constraint values and
+Jacobian, its Lagrangian Hessian (``Transcript.hessian``, from the gradient
+the solver already holds), its size ``n_z`` and its ``full_row_rank`` flag.
 
 The regularization delta runs through 0, delta_0, 2 delta_0, ... until the
 factorization has the inertia of a constrained minimizer and the line search
@@ -88,18 +88,24 @@ class SolverOptions:
 class SolveReport:
     """What a solve did, up to the iterate it ended on.
 
-    ``iterations`` counts the Newton steps taken.  ``residuals`` holds the
-    (gradient, constraint) max-norm pair of every iterate from the guess on,
-    ``iterations + 1`` pairs; ``final_kkt_norm`` is the larger entry of the
-    last one.  ``step_history`` holds an (iteration, merit, alpha) tuple per
+    ``residuals`` holds the (gradient, constraint) max-norm pair of every
+    iterate from the guess on; ``iterations``, the Newton steps taken, is one
+    less than their count, and ``final_kkt_norm`` is the larger entry of the
+    last pair.  ``step_history`` holds an (iteration, merit, alpha) tuple per
     accepted step.
     """
 
     converged: bool
-    iterations: int
-    final_kkt_norm: float
     step_history: list = field(default_factory=list)
     residuals: list = field(default_factory=list)
+
+    @property
+    def iterations(self) -> int:
+        return len(self.residuals) - 1
+
+    @property
+    def final_kkt_norm(self) -> float:
+        return max(self.residuals[-1])
 
 
 class MaxIterationsError(RuntimeError):
@@ -135,10 +141,6 @@ def _evaluate(t: Transcript, z):
     return t.objective_gradient(z), t.jacobian(z), t.constraints(z)
 
 
-def _lagrangian_gradient(t: Transcript, z, mult):
-    return t.objective_gradient(z) + t.jacobian(z).T @ mult
-
-
 def _kkt_vector(point, mult):
     gradient, J, constraints = point
     return np.concatenate([gradient + J.T @ mult, constraints])
@@ -150,19 +152,6 @@ def _multiplier_estimate(point):
     gradient, J, _ = point
     mult, *_ = np.linalg.lstsq(J.T, -gradient, rcond=None)
     return mult, _kkt_vector(point, mult)
-
-
-def _hessian_fd(t: Transcript, z, mult, base, step=1e-7):
-    """Lagrangian Hessian by node-grouped forward differences from the
-    gradient ``base`` at (z, mult), one gradient per group of
-    ``t.node_groups``."""
-    H = np.zeros((z.size, z.size))
-    for cols, same_node in t.node_groups:
-        bumped = z.copy()
-        bumped[cols] += step
-        diff = (_lagrangian_gradient(t, bumped, mult) - base) / step
-        H[:, cols] = np.where(same_node, diff[:, None], 0.0)
-    return 0.5 * (H + H.T)
 
 
 def _residuals(kkt, n):
@@ -324,13 +313,11 @@ def solve(t: Transcript, opts: SolverOptions = SolverOptions()):
     # Hessian and a degenerate first KKT system.
     mult, kkt = _multiplier_estimate(point)
 
-    report = SolveReport(converged=False, iterations=0, final_kkt_norm=np.inf)
+    report = SolveReport(converged=False)
 
     for iteration in range(opts.max_iterations):
-        report.iterations = iteration
         grad_norm, cons_norm = _residuals(kkt, n)
         report.residuals.append((grad_norm, cons_norm))
-        report.final_kkt_norm = max(grad_norm, cons_norm)
         if grad_norm <= opts.kkt_tolerance and cons_norm <= opts.kkt_tolerance:
             report.converged = True
             return z, mult, report
@@ -339,7 +326,7 @@ def solve(t: Transcript, opts: SolverOptions = SolverOptions()):
             raise MaxIterationsError(report, stall)
 
         _, J, _ = point
-        H = _hessian_fd(t, z, mult, kkt[:n])
+        H = t.hessian(z, mult, kkt[:n])
         merit = np.linalg.norm(kkt)
 
         step_cap = 1e6 * max(1.0, np.linalg.norm(z))
@@ -384,7 +371,5 @@ def solve(t: Transcript, opts: SolverOptions = SolverOptions()):
             report.step_history.append((iteration, float(trial_merit), alpha))
             break
 
-    report.iterations = opts.max_iterations
     report.residuals.append(_residuals(kkt, n))
-    report.final_kkt_norm = max(report.residuals[-1])
     raise MaxIterationsError(report)

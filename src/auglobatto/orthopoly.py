@@ -105,11 +105,12 @@ def legendre_eval(n: int, tau):
     Returns
     -------
     (value, first_derivative)
-        Floats for scalar input, ndarrays otherwise.
+        Floats for scalar input (a Python float or a 0-d array), ndarrays
+        otherwise.
     """
     if n < 0:
         raise ValueError(f"degree must be non-negative, got {n}")
-    scalar = np.isscalar(tau)
+    scalar = np.ndim(tau) == 0
     t = np.atleast_1d(np.asarray(tau, dtype=float))
     _check_tau(t)
     p, d, _ = _legendre_recurrence(n, t)
@@ -125,7 +126,7 @@ def lobatto_eval(n: int, tau):
     """
     if n < 2:
         raise ValueError(f"Lobatto polynomial needs degree >= 2, got {n}")
-    scalar = np.isscalar(tau)
+    scalar = np.ndim(tau) == 0
     t = np.atleast_1d(np.asarray(tau, dtype=float))
     _check_tau(t)
     p, d, _ = _legendre_recurrence(n - 1, t)

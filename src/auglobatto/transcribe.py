@@ -46,19 +46,17 @@ class Transcript:
     (``n`` blocks of ``n_x``), then the initial boundary rows, then the
     final boundary rows.  All evaluation methods are pure.
 
-    ``node_labels`` holds the grid node of every unknown; the augmented
-    method's extra sample is node n.  Every nonlinear term reads one node
-    and the defect block is linear, so the Lagrangian Hessian has no entry
-    between unknowns with different labels.  ``node_groups`` sorts the
-    unknowns by their rank among the unknowns of their node, one
-    ``(columns, same_node)`` pair per rank: a boolean mask of the group's
-    unknowns, and for each of them a boolean column marking the unknowns of
-    its node.  No two unknowns of a group share a node, so one perturbed
-    gradient gives the Hessian columns of a whole group.
-
-    The defect rows are linear in the states, so a Jacobian template built
-    once holds that block; ``jacobian`` copies it and scatters the per-node
-    dynamics Jacobians into the copy.  ``objective_gradient`` and
+    Every nonlinear term reads one collocation node, so the per-node
+    dynamics Jacobians and the Lagrangian Hessian fill ``n_x + n_u``-square
+    blocks, one per node.  A node table, one row per collocation node, holds
+    the indices in ``z`` of that node's states and then its controls; node
+    k's defect rows carry the indices of its states.  The augmented method's
+    extra sample has no row, because no nonlinear term reads it.  The
+    defect block is linear in the states and sits in a Jacobian template
+    built once.  ``jacobian`` copies the template and scatters the dynamics
+    Jacobians into the node blocks.  ``hessian`` differences the Lagrangian
+    gradient with one state or control component bumped at every node at
+    once, and keeps each node's block.  ``objective_gradient`` and
     ``constraints`` each fill one new vector.
 
     ``full_row_rank`` says whether the differentiation matrix has full row
@@ -95,29 +93,18 @@ class Transcript:
         self.n_state_vars = self.n_state_nodes * self.n_x
         self.n_z = self.n_state_vars + self.n * self.n_u
         self.n_constraints = self.n_defect + ocp.n_phi0 + ocp.n_phif
-        self.node_labels = self.pack(
-            np.repeat(np.arange(self.n_state_nodes), self.n_x),
-            np.repeat(np.arange(self.n), self.n_u),
-        )
-        same_node = self.node_labels[:, None] == self.node_labels[None, :]
-        rank = np.count_nonzero(np.tril(same_node, -1), axis=1)
-        self.node_groups = tuple(
-            (cols, same_node[:, cols])
-            for cols in (rank == g for g in range(rank.max() + 1))
-        )
-
-        # The template holds the defect block that is linear in the states;
-        # the flat indices place each node's A and B blocks in the row-major
-        # (n_constraints, n_z) Jacobian.
+        states = np.arange(self.n_defect).reshape(self.n, self.n_x)
+        controls = np.arange(self.n_state_vars, self.n_z).reshape(self.n, self.n_u)
+        self._nodes = np.hstack([states, controls])
+        # Flat index of (row _nodes[k, r], column _nodes[k, c]) in a
+        # row-major matrix n_z wide: the Hessian's node blocks, and for
+        # r < n_x the Jacobian's A and B blocks.  The template holds the
+        # defect block that is linear in the states.
+        self._blocks = self._nodes[:, :, None] * self.n_z + self._nodes[:, None, :]
         self._jacobian_template = np.zeros((self.n_constraints, self.n_z))
         self._jacobian_template[: self.n_defect, : self.n_state_vars] = -np.kron(
             self.diff.entries, np.eye(self.n_x)
         ) / self.half_dt
-        node, row, col = np.indices((self.n, self.n_x, self.n_x))
-        self._a_index = ((node * self.n_x + row) * self.n_z + node * self.n_x + col).ravel()
-        node, row, col = np.indices((self.n, self.n_x, self.n_u))
-        cols = self.n_state_vars + node * self.n_u + col
-        self._b_index = ((node * self.n_x + row) * self.n_z + cols).ravel()
         self._quadrature = self.half_dt * ns.weights[:, None]
 
         self._validate_shapes()
@@ -186,14 +173,33 @@ class Transcript:
         A, B = ocp.dynamics_jacobians(self.collocation_times, states[: self.n], controls)
         J = self._jacobian_template.copy()
         flat = J.reshape(-1)
-        flat[self._a_index] += A.ravel()
-        flat[self._b_index] = B.ravel()
+        flat[self._blocks[:, : self.n_x, : self.n_x]] += A
+        flat[self._blocks[:, : self.n_x, self.n_x :]] = B
         row0 = self.n_defect + ocp.n_phi0
         J[self.n_defect : row0, : self.n_x] = ocp.boundary_initial_jacobian(ocp.t0, states[0])
         J[row0:, self.n_defect - self.n_x : self.n_defect] = ocp.boundary_final_jacobian(
             ocp.tf, states[self.n - 1]
         )
         return J
+
+    def hessian(self, z, mult, gradient) -> np.ndarray:
+        """Lagrangian Hessian at (z, mult) by forward differences from its
+        gradient ``objective_gradient(z) + jacobian(z).T @ mult``.
+
+        A gradient row depends nonlinearly on its own node's unknowns only,
+        so one bump of component i at every node gives column i of every
+        node block: n_x + n_u gradients in all.  Entries off the node blocks
+        and at the extra sample are zero.
+        """
+        step = 1e-7
+        H = np.zeros((self.n_z, self.n_z))
+        flat = H.reshape(-1)
+        for i in range(self.n_x + self.n_u):
+            bumped = np.array(z, dtype=float)
+            bumped[self._nodes[:, i]] += step
+            bumped_gradient = self.objective_gradient(bumped) + self.jacobian(bumped).T @ mult
+            flat[self._blocks[:, :, i]] = ((bumped_gradient - gradient) / step)[self._nodes]
+        return 0.5 * (H + H.T)
 
     # -- construction checks ----------------------------------------------
 

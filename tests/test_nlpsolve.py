@@ -14,9 +14,7 @@ from auglobatto.nlpsolve import (
     MaxIterationsError,
     SingularKktError,
     SolverOptions,
-    _hessian_fd,
     _inertia_band,
-    _lagrangian_gradient,
     _solve_kkt,
     _stall,
     solve,
@@ -31,10 +29,9 @@ class QuadraticProbe:
     point; the default curvature gives min ||z||^2.
 
     Quacks like a Transcript as far as the solver cares: it only needs the
-    guess, the sizes, the node groups, the rank flag and the three
-    callbacks.  Each unknown is its own node, which is exact here: the
-    Lagrangian Hessian is curvature * I, and one group holds every unknown.
-    The rank flag is that of A, the constraint Jacobian.
+    guess, the size, the rank flag and the four callbacks.  The Lagrangian
+    Hessian is exactly curvature * I.  The rank flag is that of A, the
+    constraint Jacobian.
     """
 
     def __init__(self, A, b, guess, curvature=2.0):
@@ -43,7 +40,6 @@ class QuadraticProbe:
         self.guess = np.asarray(guess, dtype=float)
         self.curvature = curvature
         self.n_z = self.guess.size
-        self.node_groups = ((np.ones(self.n_z, dtype=bool), np.eye(self.n_z, dtype=bool)),)
         self.full_row_rank = numerical_rank(self.A) == self.A.shape[0]
 
     def initial_guess_vector(self):
@@ -57,6 +53,9 @@ class QuadraticProbe:
 
     def jacobian(self, z):
         return self.A.copy()
+
+    def hessian(self, z, mult, gradient):
+        return self.curvature * np.eye(self.n_z)
 
 
 def pin_first_coordinate(n=3, guess=None):
@@ -289,14 +288,18 @@ def test_rank_deficient_probe_never_certifies(monkeypatch):
 # -- grouped Hessian -------------------------------------------------------
 
 
+def lagrangian_gradient(t, z, mult):
+    return t.objective_gradient(z) + t.jacobian(z).T @ mult
+
+
 def hessian_by_columns(t, z, mult, step=1e-7):
     """Reference: forward differences one unknown at a time."""
-    base = _lagrangian_gradient(t, z, mult)
+    base = lagrangian_gradient(t, z, mult)
     H = np.empty((t.n_z, t.n_z))
     for j in range(t.n_z):
         bumped = z.copy()
         bumped[j] += step
-        H[:, j] = (_lagrangian_gradient(t, bumped, mult) - base) / step
+        H[:, j] = (lagrangian_gradient(t, bumped, mult) - base) / step
     return 0.5 * (H + H.T)
 
 
@@ -306,31 +309,37 @@ def hessian_by_columns(t, z, mult, step=1e-7):
 )
 def test_grouped_hessian_matches_column_loop(factory, method, monkeypatch):
     defn = factory()
-    t = transcribe(defn, lobatto_nodes(9), method)
-    rng = np.random.default_rng(7)
-    z = t.initial_guess_vector() + 0.05 * rng.standard_normal(t.n_z)
-    mult = rng.standard_normal(t.n_constraints)
-    gradient = t.objective_gradient
-    calls = []
-    monkeypatch.setattr(t, "objective_gradient", lambda zz: calls.append(1) or gradient(zz))
-    base = _lagrangian_gradient(t, z, mult)
-    calls.clear()
-    H = _hessian_fd(t, z, mult, base)
-    # One perturbation per state and control component; the caller already
-    # holds the gradient at the base point.
-    assert len(calls) == defn.n_x + defn.n_u
-    reference = hessian_by_columns(t, z, mult)
-    # A gradient row of one node reads only that node's unknowns, so every
-    # kept difference is computed from the same numbers as its column.
-    np.testing.assert_array_equal(H, reference)
-    assert np.any(reference != 0.0)
-    same_node = t.node_labels[:, None] == t.node_labels[None, :]
-    assert np.all(reference[~same_node] == 0.0)
-    if method is Method.NEW_LOBATTO:
-        extra = t.node_labels == t.n
-        assert np.count_nonzero(extra) == defn.n_x
-        assert np.all(reference[extra] == 0.0)
-        assert np.all(reference[:, extra] == 0.0)
+    for n in (3, 9):
+        t = transcribe(defn, lobatto_nodes(n), method)
+        rng = np.random.default_rng(7)
+        z = t.initial_guess_vector() + 0.05 * rng.standard_normal(t.n_z)
+        mult = rng.standard_normal(t.n_constraints)
+        gradient = t.objective_gradient
+        calls = []
+        monkeypatch.setattr(t, "objective_gradient", lambda zz: calls.append(1) or gradient(zz))
+        base = lagrangian_gradient(t, z, mult)
+        calls.clear()
+        H = t.hessian(z, mult, base)
+        # One perturbation per state and control component; the caller
+        # already holds the gradient at the base point.
+        assert len(calls) == defn.n_x + defn.n_u
+        reference = hessian_by_columns(t, z, mult)
+        # A gradient row of one node reads only that node's unknowns, so
+        # every kept difference is computed from the same numbers as its
+        # column.
+        np.testing.assert_array_equal(H, reference)
+        assert np.any(reference != 0.0)
+        # The grid node of every unknown; the augmented extra sample is node n.
+        node_labels = t.pack(
+            np.repeat(np.arange(t.n_state_nodes), t.n_x), np.repeat(np.arange(t.n), t.n_u)
+        )
+        same_node = node_labels[:, None] == node_labels[None, :]
+        assert np.all(reference[~same_node] == 0.0)
+        if method is Method.NEW_LOBATTO:
+            extra = node_labels == t.n
+            assert np.count_nonzero(extra) == defn.n_x
+            assert np.all(reference[extra] == 0.0)
+            assert np.all(reference[:, extra] == 0.0)
 
 
 # -- options validation ----------------------------------------------------

@@ -52,6 +52,14 @@ class TestLegendreEval:
             value, _ = legendre_eval(n, tau)
             np.testing.assert_allclose(value, expected, atol=1e-13)
 
+    @pytest.mark.parametrize("evaluate", [legendre_eval, lobatto_eval])
+    def test_zero_dimensional_input_gives_floats(self, evaluate):
+        expected = evaluate(3, 0.5)
+        for tau in (0.5, np.float64(0.5), np.array(0.5)):
+            value, deriv = evaluate(3, tau)
+            assert type(value) is float and type(deriv) is float
+            assert (value, deriv) == expected
+
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError):
             legendre_eval(4, 1.1)
