@@ -11,7 +11,6 @@ transcription of a problem into an equality-constrained program
 from .discretization import (
     DiffMatrix,
     LagrangeBasis,
-    MatrixKind,
     build_basis,
     build_dual_D,
     build_new_lobatto_D,
@@ -57,7 +56,6 @@ __all__ = [
     "DiffMatrix",
     "KktResidualReport",
     "LagrangeBasis",
-    "MatrixKind",
     "MaxIterationsError",
     "Method",
     "NodeSet",

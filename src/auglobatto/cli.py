@@ -12,7 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from typing import Optional
 
 import numpy as np
@@ -35,12 +35,6 @@ from .ocp import nonlinear_ivp, orbit_raising
 from .orthopoly import lobatto_nodes
 from .transcribe import Method, assemble_solution, transcribe
 
-_METHODS = {
-    "new-lobatto": Method.NEW_LOBATTO,
-    "standard-lobatto": Method.STANDARD_LOBATTO,
-}
-
-
 def _fmt(value: float) -> str:
     """17 significant digits: enough to reproduce any 64-bit float exactly."""
     return format(float(value), ".17g")
@@ -50,25 +44,31 @@ def _fmt(value: float) -> str:
 class ConvergenceRecord:
     """One sweep entry: errors vs the analytic solution on one grid.
 
-    Error fields are None when the solve did not converge; they are never
-    filled with zeros or NaNs.
+    A converged solve carries all three errors, a failed one none; they are
+    never filled with zeros or NaNs.  ``converged`` is read off the errors.
+    An outcome passed as the last argument is checked against them and not
+    stored.
     """
 
     n: int
     method: str
-    e_x: Optional[float]
-    e_u: Optional[float]
-    e_lambda: Optional[float]
-    converged: bool
+    e_x: Optional[float] = None
+    e_u: Optional[float] = None
+    e_lambda: Optional[float] = None
+    expect_converged: InitVar[Optional[bool]] = None
 
-    def __post_init__(self):
+    def __post_init__(self, expect_converged):
         errors = (self.e_x, self.e_u, self.e_lambda)
+        if errors.count(None) not in (0, 3):
+            raise ValueError("a record carries every error or none")
         if any(value is not None and value < 0 for value in errors):
             raise ValueError("error norms must be non-negative")
-        if self.converged and None in errors:
-            raise ValueError("converged records must carry every error")
-        if not self.converged and errors != (None, None, None):
-            raise ValueError("non-converged records must carry missing errors")
+        if expect_converged not in (None, self.converged):
+            raise ValueError(f"errors {errors} contradict converged={expect_converged}")
+
+    @property
+    def converged(self) -> bool:
+        return self.e_x is not None
 
 
 def _load_problem(name: str):
@@ -111,7 +111,7 @@ def cmd_diffmat(n: int, kind: str, check: bool, stream, err_stream) -> int:
         raise ValueError(f"unknown matrix kind {kind!r}")
 
     writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow([f"c{i}" for i in range(mat.cols)])
+    writer.writerow([f"c{i}" for i in range(mat.entries.shape[1])])
     for row in mat.entries:
         writer.writerow([_fmt(v) for v in row])
 
@@ -137,7 +137,7 @@ def cmd_solve(
 ) -> int:
     err_stream = err_stream if err_stream is not None else sys.stderr
     defn, _ = _load_problem(problem)
-    transcript = transcribe(defn, lobatto_nodes(n), _METHODS[method])
+    transcript = transcribe(defn, lobatto_nodes(n), Method(method))
     try:
         z, mult, report = solve(transcript, opts)
     except (MaxIterationsError, SingularKktError) as exc:
@@ -178,8 +178,8 @@ def run_convergence_sweep(
 ) -> list:
     """Solve every (n, method) pair and compare against the analytic truth.
 
-    Failed solves become records with converged=False and missing errors;
-    the sweep itself never raises on solver trouble.
+    Failed solves become records without errors; the sweep itself never
+    raises on solver trouble.
     """
     defn, truth = _load_problem(problem)
     if truth is None:
@@ -187,11 +187,11 @@ def run_convergence_sweep(
     records = []
     for n in range(n_min, n_max + 1):
         for method in methods:
-            transcript = transcribe(defn, lobatto_nodes(n), _METHODS[method])
+            transcript = transcribe(defn, lobatto_nodes(n), Method(method))
             try:
                 z, mult, report = solve(transcript)
             except (MaxIterationsError, SingularKktError):
-                records.append(ConvergenceRecord(n, method, None, None, None, False))
+                records.append(ConvergenceRecord(n, method))
                 continue
             sol = assemble_solution(transcript, z, mult, report.final_kkt_norm)
             tc = transcript.collocation_times
@@ -205,7 +205,6 @@ def run_convergence_sweep(
                     float(np.max(np.abs(sol.states[: transcript.n] - x_true))),
                     float(np.max(np.abs(sol.controls - u_true))),
                     float(np.max(np.abs(sol.costates - lam_true))),
-                    True,
                 )
             )
     return records
@@ -257,7 +256,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--problem", choices=["nonlinear-ivp", "orbit-raising"], required=True
     )
     p_solve.add_argument("--n", type=int, required=True)
-    p_solve.add_argument("--method", choices=sorted(_METHODS), default="new-lobatto")
+    p_solve.add_argument("--method", choices=[m.value for m in Method], default="new-lobatto")
     p_solve.add_argument("--tol", type=float, default=1e-10)
     p_solve.add_argument("--max-iter", type=int, default=200)
     p_solve.add_argument("--out", required=True, help="output CSV path")
@@ -269,7 +268,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_conv.add_argument(
         "--methods",
         required=True,
-        help="comma-separated subset of: " + ", ".join(sorted(_METHODS)),
+        help="comma-separated subset of: " + ", ".join(m.value for m in Method),
     )
     p_conv.add_argument("--out", required=True, help="output CSV path")
     return parser
@@ -307,7 +306,7 @@ def main(argv=None) -> int:
         if not methods:
             parser.error("--methods must name at least one method")
         for method in methods:
-            if method not in _METHODS:
+            if method not in {m.value for m in Method}:
                 parser.error(f"unknown method {method!r}")
         return cmd_converge(args.problem, args.n_min, args.n_max, methods, args.out)
 

@@ -15,19 +15,12 @@ All matrices are dense; the grids in play never exceed a few dozen points.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
 from .orthopoly import NodeSet, lobatto_eval
 
 _MIN_NODE_GAP = 1e-12
-
-
-class MatrixKind(Enum):
-    NEW_LOBATTO = "new-lobatto"
-    STANDARD_LOBATTO = "standard-lobatto"
-    DUAL = "dual"
 
 
 @dataclass(frozen=True)
@@ -87,15 +80,14 @@ class DiffMatrix:
     """A differentiation matrix together with its source and target grids.
 
     ``entries[k, i]`` is the derivative of the i-th Lagrange polynomial on
-    ``col_nodes``, evaluated at ``row_nodes[k]``.
+    ``col_nodes``, evaluated at ``row_nodes[k]``.  The shape of ``entries``
+    tells the matrices apart: the rectangular matrix is N x (N+1), the
+    square and dual matrices N x N.
     """
 
-    rows: int
-    cols: int
     entries: np.ndarray
     row_nodes: np.ndarray
     col_nodes: np.ndarray
-    kind: MatrixKind
 
 
 def build_basis(nodes) -> LagrangeBasis:
@@ -133,12 +125,9 @@ def build_new_lobatto_D(ns: NodeSet) -> DiffMatrix:
     entries = np.ascontiguousarray(full[: ns.n, :])
     entries.flags.writeable = False
     return DiffMatrix(
-        rows=ns.n,
-        cols=ns.n + 1,
         entries=entries,
         row_nodes=ns.collocation,
         col_nodes=ns.all_nodes,
-        kind=MatrixKind.NEW_LOBATTO,
     )
 
 
@@ -151,12 +140,9 @@ def build_standard_lobatto_D(ns: NodeSet) -> DiffMatrix:
     entries = basis.differentiation_matrix()
     entries.flags.writeable = False
     return DiffMatrix(
-        rows=ns.n,
-        cols=ns.n,
         entries=entries,
         row_nodes=ns.collocation,
         col_nodes=ns.collocation,
-        kind=MatrixKind.STANDARD_LOBATTO,
     )
 
 
@@ -165,13 +151,14 @@ def build_dual_D(ns: NodeSet, D: DiffMatrix) -> DiffMatrix:
 
     Entry (k, i) is ``(delta_ki / w_k)(delta_Nk - delta_1k) - (w_i / w_k)
     D_ik`` over the collocation points.  Differentiates polynomials exactly
-    through degree N-2 and annihilates constants.
+    through degree N-2 and annihilates constants.  Raises ValueError unless
+    ``D`` is N x (N+1), which rejects the square matrix.
     """
-    if D.kind is not MatrixKind.NEW_LOBATTO:
-        raise ValueError(f"expected a NewLobatto matrix, got {D.kind}")
     n = ns.n
-    if D.rows != n or D.cols != n + 1:
-        raise ValueError("matrix shape does not match the node set")
+    if D.entries.shape != (n, n + 1):
+        raise ValueError(
+            f"expected the {n} x {n + 1} rectangular matrix, got shape {D.entries.shape}"
+        )
     w = ns.weights
     core = D.entries[:, :n]
     entries = -core.T * (w[None, :] / w[:, None])
@@ -179,12 +166,9 @@ def build_dual_D(ns: NodeSet, D: DiffMatrix) -> DiffMatrix:
     entries[-1, -1] += 1.0 / w[-1]
     entries.flags.writeable = False
     return DiffMatrix(
-        rows=n,
-        cols=n,
         entries=entries,
         row_nodes=ns.collocation,
         col_nodes=ns.collocation,
-        kind=MatrixKind.DUAL,
     )
 
 
@@ -197,8 +181,8 @@ def verify_definition(D: DiffMatrix, order: int) -> float:
     """
     if order < 0:
         raise ValueError("order must be nonnegative")
-    if order > D.cols - 1:
-        raise ValueError(f"order {order} exceeds cols-1 = {D.cols - 1}")
+    if order >= D.col_nodes.size:
+        raise ValueError(f"order {order} exceeds cols-1 = {D.col_nodes.size - 1}")
     powers = np.arange(order + 1)
     V = D.col_nodes[:, None] ** powers[None, :]
     shifted = D.row_nodes[:, None] ** np.maximum(powers - 1, 0)[None, :]
@@ -215,7 +199,7 @@ def runge_bound(ns: NodeSet, grid_size: int) -> float:
         raise ValueError("grid_size must be at least 1001")
     basis = build_basis(ns.all_nodes)
     grid = np.linspace(-1.0, 1.0, grid_size)
-    column = basis.values(grid)[:, ns.exceptional_index]
+    column = basis.values(grid)[:, ns.n]
     return float(np.max(np.abs(column)))
 
 
@@ -228,19 +212,24 @@ def exceptional_column_reference(ns: NodeSet) -> np.ndarray:
     return dvals / value_at_xi
 
 
-def numerical_rank(entries: np.ndarray, threshold_factor: float = 1e-10) -> int:
-    """Count of singular values above threshold_factor times the largest."""
+def _kept_singular_values(entries: np.ndarray) -> np.ndarray:
+    """Singular values above 1e-10 times the largest, in descending order;
+    empty for an empty or zero matrix."""
     sigma = np.linalg.svd(entries, compute_uv=False)
     if sigma.size == 0 or sigma[0] == 0.0:
-        return 0
-    return int(np.count_nonzero(sigma > threshold_factor * sigma[0]))
+        return sigma[:0]
+    return sigma[sigma > 1e-10 * sigma[0]]
 
 
-def condition_number(entries: np.ndarray, threshold_factor: float = 1e-10) -> float:
+def numerical_rank(entries: np.ndarray) -> int:
+    """Count of singular values above 1e-10 times the largest."""
+    return int(_kept_singular_values(entries).size)
+
+
+def condition_number(entries: np.ndarray) -> float:
     """Ratio of the largest singular value to the smallest one counted in the
     numerical rank.  Returns inf for a zero matrix."""
-    sigma = np.linalg.svd(entries, compute_uv=False)
-    if sigma.size == 0 or sigma[0] == 0.0:
+    kept = _kept_singular_values(entries)
+    if kept.size == 0:
         return float("inf")
-    kept = sigma[sigma > threshold_factor * sigma[0]]
-    return float(sigma[0] / kept[-1])
+    return float(kept[0] / kept[-1])

@@ -47,17 +47,14 @@ class NodeSet:
         up to 2n - 3.
     exceptional : float
         The augmentation node: root of P_{n-1} nearest zero (the positive
-        one when two are tied).  Exactly 0.0 for even n.
-    exceptional_index : int
-        Position of the augmentation node in ``all_nodes`` (always n: it is
-        appended after the collocation nodes).
+        one when two are tied).  Exactly 0.0 for even n.  It is appended
+        after the collocation nodes, so ``all_nodes[n]`` holds it.
     """
 
     n: int
     collocation: np.ndarray
     weights: np.ndarray
     exceptional: float
-    exceptional_index: int
 
     @property
     def all_nodes(self) -> np.ndarray:
@@ -228,13 +225,7 @@ def lobatto_nodes(n: int) -> NodeSet:
     else:
         exceptional = float(legendre[m // 2])
 
-    ns = NodeSet(
-        n=n,
-        collocation=collocation,
-        weights=weights,
-        exceptional=exceptional,
-        exceptional_index=n,
-    )
+    ns = NodeSet(n=n, collocation=collocation, weights=weights, exceptional=exceptional)
     ns.collocation.setflags(write=False)
     ns.weights.setflags(write=False)
     return ns

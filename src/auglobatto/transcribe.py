@@ -21,13 +21,7 @@ from enum import Enum
 
 import numpy as np
 
-from .discretization import (
-    DiffMatrix,
-    MatrixKind,
-    build_new_lobatto_D,
-    build_standard_lobatto_D,
-    numerical_rank,
-)
+from .discretization import DiffMatrix, build_new_lobatto_D, build_standard_lobatto_D
 from .ocp import OcpDefinition
 from .orthopoly import NodeSet
 
@@ -59,11 +53,11 @@ class Transcript:
     once, and keeps each node's block.  ``objective_gradient`` and
     ``constraints`` each fill one new vector.
 
-    ``full_row_rank`` says whether the differentiation matrix has full row
-    rank: true for the augmented N x (N+1) matrix, false for the square one,
-    which loses a rank.  The solver then takes the constraint Jacobian to
-    have full row rank too, as the augmented construction intends, and reads
-    the KKT inertia off the reduced Hessian.
+    ``full_row_rank`` is true for the augmented method: its N x (N+1)
+    matrix has full row rank by construction, while the square matrix loses
+    a rank.  The solver then takes the constraint Jacobian to have full row
+    rank too, as the augmented construction intends, and reads the KKT
+    inertia off the reduced Hessian.
     """
 
     def __init__(self, ocp: OcpDefinition, ns: NodeSet, method: Method):
@@ -85,7 +79,7 @@ class Transcript:
         else:
             raise ValueError(f"unknown method {method!r}")
 
-        self.full_row_rank = numerical_rank(self.diff.entries) == self.n
+        self.full_row_rank = method is Method.NEW_LOBATTO
         self.n_state_nodes = state_taus.size
         self.state_times = self.map_time(state_taus)
         self.collocation_times = self.map_time(ns.collocation)
@@ -204,7 +198,8 @@ class Transcript:
     # -- construction checks ----------------------------------------------
 
     def _validate_shapes(self):
-        """Call every node-array callback once on the whole guess grid."""
+        """Call every node-array callback once on the whole guess grid, and
+        every endpoint callback once on its end of it."""
         ocp = self.ocp
         n, n_x, n_u = self.n, self.n_x, self.n_u
         tc = self.collocation_times
@@ -216,10 +211,19 @@ class Transcript:
         _check_shapes("running_cost", (ocp.running_cost(tc, x, u),), (n,))
         gradients = ocp.running_cost_gradients(tc, x, u)
         _check_shapes("running_cost_gradients", gradients, (n, n_x), (n, n_u))
-        phi0 = np.atleast_1d(ocp.boundary_initial(ocp.t0, x[0]))
+        x0, xf = x[0], x[n - 1]
+        phi0 = np.atleast_1d(ocp.boundary_initial(ocp.t0, x0))
         _check_shapes("boundary_initial", (phi0,), (ocp.n_phi0,))
-        phif = np.atleast_1d(ocp.boundary_final(ocp.tf, x[n - 1]))
+        phif = np.atleast_1d(ocp.boundary_final(ocp.tf, xf))
         _check_shapes("boundary_final", (phif,), (ocp.n_phif,))
+        jac0 = ocp.boundary_initial_jacobian(ocp.t0, x0)
+        _check_shapes("boundary_initial_jacobian", (jac0,), (ocp.n_phi0, n_x))
+        jacf = ocp.boundary_final_jacobian(ocp.tf, xf)
+        _check_shapes("boundary_final_jacobian", (jacf,), (ocp.n_phif, n_x))
+        grad0 = ocp.endpoint_cost_initial_gradient(ocp.t0, x0)
+        _check_shapes("endpoint_cost_initial_gradient", (grad0,), (n_x,))
+        gradf = ocp.endpoint_cost_final_gradient(ocp.tf, xf)
+        _check_shapes("endpoint_cost_final_gradient", (gradf,), (n_x,))
 
 
 def _check_shapes(name, arrays, *expected):
@@ -325,8 +329,9 @@ def kkt_residuals(
     """
     if t.method is not Method.NEW_LOBATTO:
         raise ValueError("residual audit is defined for the augmented method")
-    if D.kind is not MatrixKind.NEW_LOBATTO or Ddual.kind is not MatrixKind.DUAL:
-        raise ValueError("need the rectangular matrix and its dual")
+    n = t.n
+    if D.entries.shape != (n, n + 1) or Ddual.entries.shape != (n, n):
+        raise ValueError("need the rectangular matrix and its dual, in that order")
 
     ocp = t.ocp
     w = ns.weights
@@ -336,7 +341,6 @@ def kkt_residuals(
     lam = sol.costates
     nu0, nuf = sol.boundary_multipliers
 
-    n = t.n
     tc = t.collocation_times
     f_all = ocp.dynamics(tc, states[:n], controls)
     A, B = ocp.dynamics_jacobians(tc, states[:n], controls)

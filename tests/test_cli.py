@@ -348,16 +348,24 @@ def test_converge_rejects_unknown_method(tmp_path):
 
 
 def test_convergence_record_rejects_bad_data():
-    # (e_x, e_u, e_lambda), converged: a negative error, a non-converged
-    # record with any error filled, a converged one with any error missing.
+    # (e_x, e_u, e_lambda), converged: a negative error, errors only partly
+    # filled (with and without an outcome passed), and an outcome passed
+    # that contradicts complete errors.
     for errors, converged in [
-        ((-1.0, 0.0, 0.0), True),
+        ((-1.0, 0.0, 0.0), None),
         ((0.0, 0.0, -1.0), True),
-        ((1.0, 1.0, 1.0), False),
-        ((None, 1.0, None), False),
+        ((None, 1.0, None), None),
         ((None, None, 1.0), False),
-        ((None, None, None), True),
         ((1.0, None, 1.0), True),
+        ((1.0, 1.0, 1.0), False),
+        ((None, None, None), True),
     ]:
         with pytest.raises(ValueError):
             cli.ConvergenceRecord(10, "new-lobatto", *errors, converged)
+    # The outcome is read off the errors, and cannot be set.
+    solved = cli.ConvergenceRecord(10, "new-lobatto", 1.0, 0.0, 0.0)
+    failed = cli.ConvergenceRecord(10, "new-lobatto")
+    assert solved.converged and not failed.converged
+    assert cli.ConvergenceRecord(10, "new-lobatto", 1.0, 0.0, 0.0, True) == solved
+    with pytest.raises(AttributeError):
+        solved.converged = False

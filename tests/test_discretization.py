@@ -3,7 +3,6 @@ import pytest
 
 from auglobatto.discretization import (
     DiffMatrix,
-    MatrixKind,
     build_basis,
     build_dual_D,
     build_new_lobatto_D,
@@ -78,15 +77,16 @@ class TestBasis:
 
 class TestNewLobattoMatrix:
     def test_shape_and_kind(self):
-        D = build_new_lobatto_D(lobatto_nodes(6))
-        assert (D.rows, D.cols) == (6, 7)
+        ns = lobatto_nodes(6)
+        D = build_new_lobatto_D(ns)
         assert D.entries.shape == (6, 7)
-        assert D.kind is MatrixKind.NEW_LOBATTO
+        assert D.row_nodes is ns.collocation
+        np.testing.assert_array_equal(D.col_nodes, ns.all_nodes)
 
     @pytest.mark.parametrize("n", [3, 5, 10, 20, 30])
     def test_annihilates_constants(self, n):
         D = build_new_lobatto_D(lobatto_nodes(n))
-        assert np.max(np.abs(D.entries.sum(axis=1))) <= 1e-11 * D.cols
+        assert np.max(np.abs(D.entries.sum(axis=1))) <= 1e-11 * (n + 1)
 
     @pytest.mark.parametrize("n", [3, 7, 15])
     def test_identity_derivative(self, n):
@@ -151,14 +151,15 @@ class TestNewLobattoMatrix:
 
 class TestStandardMatrix:
     def test_square_and_kind(self):
-        S = build_standard_lobatto_D(lobatto_nodes(5))
-        assert (S.rows, S.cols) == (5, 5)
-        assert S.kind is MatrixKind.STANDARD_LOBATTO
+        ns = lobatto_nodes(5)
+        S = build_standard_lobatto_D(ns)
+        assert S.entries.shape == (5, 5)
+        assert S.row_nodes is S.col_nodes is ns.collocation
 
     @pytest.mark.parametrize("n", [4, 9, 17, 30])
     def test_row_sums_vanish(self, n):
         S = build_standard_lobatto_D(lobatto_nodes(n))
-        assert np.max(np.abs(S.entries.sum(axis=1))) <= 1e-11 * S.cols
+        assert np.max(np.abs(S.entries.sum(axis=1))) <= 1e-11 * n
 
     def test_n4_rank_deficient(self):
         S = build_standard_lobatto_D(lobatto_nodes(4))
@@ -186,7 +187,7 @@ class TestDualMatrix:
     def test_constants_to_zero(self, n):
         ns = lobatto_nodes(n)
         Dd = build_dual_D(ns, build_new_lobatto_D(ns))
-        assert np.max(np.abs(Dd.entries.sum(axis=1))) <= 1e-11 * Dd.cols
+        assert np.max(np.abs(Dd.entries.sum(axis=1))) <= 1e-11 * n
 
     def test_degree_one_n5(self):
         ns = lobatto_nodes(5)
@@ -224,7 +225,7 @@ class TestDualMatrix:
     def test_requires_new_lobatto_input(self):
         ns = lobatto_nodes(5)
         S = build_standard_lobatto_D(ns)
-        with pytest.raises(ValueError, match="NewLobatto"):
+        with pytest.raises(ValueError, match="5 x 6 rectangular"):
             build_dual_D(ns, S)
 
     def test_shape_mismatch_rejected(self):
@@ -248,7 +249,7 @@ class TestVerifyDefinition:
         # sum(axis=1) rounds differently at most sizes.
         for n in (3, 9, 10, 50):
             D = build_new_lobatto_D(lobatto_nodes(n))
-            row_sums = D.entries @ np.ones((D.cols, 1))
+            row_sums = D.entries @ np.ones((n + 1, 1))
             assert verify_definition(D, 0) == np.max(np.abs(row_sums))
 
 
@@ -260,7 +261,7 @@ class TestRungeBehavior:
     def test_kronecker_at_own_node(self):
         ns = lobatto_nodes(9)
         basis = build_basis(ns.all_nodes)
-        assert basis.values(ns.exceptional)[ns.exceptional_index] == 1.0
+        assert basis.values(ns.exceptional)[ns.n] == 1.0
 
     def test_small_grid_rejected(self):
         with pytest.raises(ValueError):
@@ -273,7 +274,7 @@ class TestRungeBehavior:
         ns = lobatto_nodes(n)
         basis = build_basis(ns.all_nodes)
         grid = np.linspace(-1, 1, 1501)
-        l_xi = basis.values(grid)[:, ns.exceptional_index]
+        l_xi = basis.values(grid)[:, ns.n]
         lob_grid = lobatto_eval(n, grid)[0]
         lob_xi = lobatto_eval(n, ns.exceptional)[0]
         np.testing.assert_allclose(l_xi * lob_xi, lob_grid, atol=1e-10)
@@ -314,7 +315,8 @@ def test_rank_helpers():
 def test_diffmatrix_is_frozen():
     D = build_new_lobatto_D(lobatto_nodes(4))
     assert isinstance(D, DiffMatrix)
-    with pytest.raises((AttributeError, TypeError)):
-        D.rows = 7
+    for field in ("entries", "row_nodes", "col_nodes"):
+        with pytest.raises((AttributeError, TypeError)):
+            setattr(D, field, np.zeros(3))
     with pytest.raises((ValueError, RuntimeError)):
         D.entries[0, 0] = 99.0

@@ -107,7 +107,7 @@ class TestLobattoNodes:
             ns.weights, [1 / 6, 5 / 6, 5 / 6, 1 / 6], atol=1e-14
         )
         assert ns.exceptional == 0.0
-        assert ns.exceptional_index == 4
+        assert ns.all_nodes[4] == ns.exceptional
 
     def test_n5_closed_forms(self):
         ns = lobatto_nodes(5)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from auglobatto.discretization import build_dual_D, build_new_lobatto_D
+from auglobatto.discretization import build_dual_D, build_new_lobatto_D, numerical_rank
 from auglobatto.ocp import OcpDefinition, nonlinear_ivp, orbit_raising
 from auglobatto.orthopoly import legendre_eval, lobatto_nodes
 from auglobatto.transcribe import (
@@ -80,12 +80,14 @@ class TestLayout:
 
     @pytest.mark.parametrize("method", list(Method))
     def test_full_row_rank_marks_the_augmented_method(self, method):
-        # The solver certifies KKT inertia only on full-row-rank transcripts;
-        # the square matrix loses a rank at every size of the sweeps.
+        # The solver certifies KKT inertia only on full-row-rank transcripts.
+        # The flag follows the method; the measured rank must agree with it:
+        # the square matrix loses a rank at every size, the augmented none.
         defn, _ = nonlinear_ivp()
-        for n in range(3, 31):
+        for n in range(3, 51):
             t = transcribe(defn, lobatto_nodes(n), method)
             assert t.full_row_rank == (method is Method.NEW_LOBATTO)
+            assert t.full_row_rank == (numerical_rank(t.diff.entries) == t.n), n
 
     def test_wrong_length_rejected(self):
         defn, _ = nonlinear_ivp()
@@ -372,6 +374,20 @@ class TestKktResiduals:
         with pytest.raises(ValueError, match="augmented"):
             kkt_residuals(t, sol, ns, D, Dd)
 
+    def test_swapped_matrices_rejected(self):
+        ns = lobatto_nodes(8)
+        t = transcribe(self.defn, ns, Method.NEW_LOBATTO)
+        D = build_new_lobatto_D(ns)
+        Dd = build_dual_D(ns, D)
+        sol = make_solution(
+            t, np.zeros((9, 1)), np.zeros((8, 1)), np.zeros((8, 1)),
+            np.zeros(1), np.zeros(0),
+        )
+        # Swapped, and the rectangular matrix passed for both.
+        for first, second in ((Dd, D), (D, D)):
+            with pytest.raises(ValueError, match="in that order"):
+                kkt_residuals(t, sol, ns, first, second)
+
 
 class TestLeadingCoefficient:
     def test_pure_top_mode(self):
@@ -410,10 +426,21 @@ class TestConstructionValidation:
     def test_bad_boundary_shape_rejected(self):
         from dataclasses import replace
 
-        defn, _ = nonlinear_ivp()
-        broken = replace(defn, boundary_initial=lambda t, x: np.zeros(4))
-        with pytest.raises(ValueError, match="boundary_initial"):
-            transcribe(broken, lobatto_nodes(5), Method.NEW_LOBATTO)
+        # Each wrong shape would broadcast into the constraints, Jacobian or
+        # gradient without error: a one-row final Jacobian fills both of the
+        # orbit's final rows, a one-entry gradient every state component.
+        defn = orbit_raising()
+        for field, value in [
+            ("boundary_initial", np.zeros(4)),
+            ("boundary_initial_jacobian", np.eye(5)[:1]),
+            ("boundary_final_jacobian", np.zeros((1, 5))),
+            ("boundary_final_jacobian", np.zeros((2, 1))),
+            ("endpoint_cost_initial_gradient", np.zeros(1)),
+            ("endpoint_cost_final_gradient", np.array([-1.0])),
+        ]:
+            broken = replace(defn, **{field: lambda t, x, value=value: value})
+            with pytest.raises(ValueError, match=f"^{field} returned"):
+                transcribe(broken, lobatto_nodes(5), Method.NEW_LOBATTO)
 
     def test_unknown_method_rejected(self):
         defn, _ = nonlinear_ivp()
