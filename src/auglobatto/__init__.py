@@ -31,7 +31,6 @@ from .nlpsolve import (
 from .ocp import AnalyticTruth, OcpDefinition, nonlinear_ivp, orbit_raising
 from .orthopoly import (
     NodeSet,
-    RootFindError,
     envelope_check,
     legendre_eval,
     lobatto_eval,
@@ -60,7 +59,6 @@ __all__ = [
     "Method",
     "NodeSet",
     "OcpDefinition",
-    "RootFindError",
     "SingularKktError",
     "Solution",
     "SolveReport",

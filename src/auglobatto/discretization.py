@@ -48,7 +48,7 @@ class LagrangeBasis:
         Returns an array of shape ``(M,)`` for scalar input, ``(len(tau), M)``
         for array input.  Rows sum to one; at a node the row is a unit vector.
         """
-        scalar = np.isscalar(tau) or np.ndim(tau) == 0
+        scalar = np.ndim(tau) == 0
         t = np.atleast_1d(np.asarray(tau, dtype=float))
         d = t[:, None] - self.nodes[None, :]
         hit = d == 0.0

@@ -7,6 +7,11 @@ one extra interpolation point: the root of P_{N-1} nearest zero.  That extra
 point maximizes |L_N| over [-1, 1], which makes the rectangular
 differentiation matrix built on the augmented grid maximally robust to a
 perturbation placed there.
+
+Both sets of roots come from the eigenvalues of a symmetric tridiagonal
+Jacobi matrix (Golub & Welsch 1969): that of P_{N-1} for the extra point,
+and that of the Jacobi polynomial P^(1,1)_{N-2}, whose roots are those of
+P'_{N-1}, for the interior nodes.
 """
 
 from __future__ import annotations
@@ -17,7 +22,6 @@ import numpy as np
 
 __all__ = [
     "NodeSet",
-    "RootFindError",
     "legendre_eval",
     "lobatto_eval",
     "lobatto_nodes",
@@ -25,10 +29,6 @@ __all__ = [
 ]
 
 _TAU_SLACK = 1e-12
-
-
-class RootFindError(RuntimeError):
-    """Raised when the safeguarded Newton iteration fails to converge."""
 
 
 @dataclass(frozen=True)
@@ -134,58 +134,24 @@ def lobatto_eval(n: int, tau):
     return value, deriv
 
 
-def _legendre_roots(m: int, max_iter: int = 100) -> np.ndarray:
-    """All m roots of P_m, ascending, exactly antisymmetric about 0."""
-    # Chebyshev-based asymptotic initial guesses for the positive half,
-    # largest root first; all of them are polished by Newton in lockstep.
-    k = np.arange(1, m // 2 + 1)
-    x = np.cos(np.pi * (4 * k - 1) / (4 * m + 2))
-    done = np.zeros(x.shape, dtype=bool)
-    for _ in range(max_iter):
-        p, d, _ = _legendre_recurrence(m, x)
-        step = np.where(done, 0.0, p / d)
-        x = x - step
-        done |= np.abs(step) <= 4.0 * np.finfo(float).eps * np.maximum(np.abs(x), 0.1)
-        if done.all():
-            break
-    else:
-        raise RootFindError(f"Legendre roots of degree {m} did not converge")
-    pos = np.sort(x)
-    if m % 2 == 0:
-        return np.concatenate([-pos[::-1], pos])
-    return np.concatenate([-pos[::-1], [0.0], pos])
+def _legendre_roots(m: int, derivative: bool) -> np.ndarray:
+    """Roots of P_m, or of P'_m when ``derivative``; ascending, exactly antisymmetric.
 
-
-def _dlegendre_roots_in_brackets(m: int, lo, hi, max_iter: int = 100) -> np.ndarray:
-    """Roots of P'_m, one per bracket, by Newton safeguarded with bisection.
-
-    The brackets come from the interlacing of the roots of P_m; P'_m
-    changes sign exactly once between consecutive roots of P_m.  All
-    brackets are worked in lockstep.
+    They are the eigenvalues of a zero-diagonal symmetric tridiagonal Jacobi
+    matrix (Golub & Welsch 1969), that of P_m or of the Jacobi polynomial
+    P^(1,1)_{m-1}, whose roots are those of P'_m.  One Newton step through
+    the recurrence polishes them.
     """
-    lo = np.array(lo, dtype=float)
-    hi = np.array(hi, dtype=float)
-    _, d_lo, _ = _legendre_recurrence(m, lo)
-    sign_lo = np.sign(d_lo)
-    x = 0.5 * (lo + hi)
-    done = np.zeros(x.shape, dtype=bool)
-    for _ in range(max_iter):
-        _, d, s = _legendre_recurrence(m, x)
-        done |= d == 0.0
-        # Maintain the brackets for the bisection fallback.
-        lo_side = np.sign(d) == sign_lo
-        lo = np.where(~done & lo_side, x, lo)
-        hi = np.where(~done & ~lo_side, x, hi)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            newton = x - d / s
-        inside = (lo < newton) & (newton < hi)
-        x_new = np.where(inside, newton, 0.5 * (lo + hi))
-        shift = np.abs(x_new - x)
-        x = np.where(done, x, x_new)
-        done |= shift <= 4.0 * np.finfo(float).eps * np.maximum(np.abs(x_new), 0.1)
-        if done.all():
-            return x
-    raise RootFindError(f"derivative roots of P'_{m} did not converge")
+    if derivative:
+        k = np.arange(1.0, m - 1)
+        offdiag = np.sqrt(k * (k + 2) / ((2 * k + 1) * (2 * k + 3)))
+    else:
+        k = np.arange(1.0, m)
+        offdiag = k / np.sqrt(4 * k * k - 1)
+    x = np.linalg.eigvalsh(np.diag(offdiag, -1))
+    p, d, s = _legendre_recurrence(m, x)
+    x = x - (d / s if derivative else p / d)
+    return 0.5 * (x - x[::-1])
 
 
 def lobatto_nodes(n: int) -> NodeSet:
@@ -204,14 +170,9 @@ def lobatto_nodes(n: int) -> NodeSet:
     if n < 3:
         raise ValueError(f"need at least 3 collocation nodes, got {n}")
     m = n - 1
-    legendre = _legendre_roots(m)
 
-    # Interior collocation nodes: the n-2 roots of P'_{n-1}, one per
-    # interlacing bracket; averaging with the reversed sign keeps the grid
-    # exactly antisymmetric.
-    interior = _dlegendre_roots_in_brackets(m, legendre[:-1], legendre[1:])
-    interior = 0.5 * (interior - interior[::-1])
-
+    # Interior collocation nodes: the n-2 roots of P'_{n-1}.
+    interior = _legendre_roots(m, derivative=True)
     collocation = np.concatenate([[-1.0], interior, [1.0]])
 
     p, _, _ = _legendre_recurrence(m, collocation)
@@ -223,7 +184,7 @@ def lobatto_nodes(n: int) -> NodeSet:
     if n % 2 == 0:
         exceptional = 0.0
     else:
-        exceptional = float(legendre[m // 2])
+        exceptional = float(_legendre_roots(m, derivative=False)[m // 2])
 
     ns = NodeSet(n=n, collocation=collocation, weights=weights, exceptional=exceptional)
     ns.collocation.setflags(write=False)

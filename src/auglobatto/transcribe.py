@@ -23,7 +23,7 @@ import numpy as np
 
 from .discretization import DiffMatrix, build_new_lobatto_D, build_standard_lobatto_D
 from .ocp import OcpDefinition
-from .orthopoly import NodeSet
+from .orthopoly import NodeSet, legendre_eval
 
 
 class Method(Enum):
@@ -386,8 +386,6 @@ def costate_leading_coefficient(costates, ns: NodeSet) -> np.ndarray:
     collocation grid.  A solution whose costates really are polynomials of
     degree N-2 or less shows a coefficient at rounding level.
     """
-    from .orthopoly import legendre_eval
-
     lam = np.asarray(costates, dtype=float)
     p_vals, _ = legendre_eval(ns.n - 1, ns.collocation)
     weighted = ns.weights * p_vals
