@@ -145,7 +145,7 @@ def cmd_solve(
         return 1
 
     sol = assemble_solution(transcript, z, mult, report.final_kkt_norm)
-    n_x, n_u = defn.n_x, defn.n_u
+    n_x, n_u = transcript.n_x, transcript.n_u
     rows = []
     for i, time in enumerate(sol.times):
         x_fields = [_fmt(v) for v in sol.states[i]]

@@ -38,10 +38,6 @@ class LagrangeBasis:
     nodes: np.ndarray
     barycentric_weights: np.ndarray
 
-    @property
-    def size(self) -> int:
-        return self.nodes.size
-
     def values(self, tau):
         """Evaluate every basis polynomial at ``tau``.
 
@@ -96,7 +92,7 @@ def build_basis(nodes) -> LagrangeBasis:
     Raises ValueError naming the closest pair if two nodes coincide to
     within 1e-12.
     """
-    x = np.ascontiguousarray(nodes, dtype=float)
+    x = np.array(nodes, dtype=float)
     if x.ndim != 1 or x.size < 2:
         raise ValueError("need a one-dimensional array of at least two nodes")
     order = np.argsort(x)
@@ -127,7 +123,7 @@ def build_new_lobatto_D(ns: NodeSet) -> DiffMatrix:
     return DiffMatrix(
         entries=entries,
         row_nodes=ns.collocation,
-        col_nodes=ns.all_nodes,
+        col_nodes=basis.nodes,
     )
 
 

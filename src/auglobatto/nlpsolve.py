@@ -78,10 +78,10 @@ class SolverOptions:
     max_iterations: int = 200
 
     def __post_init__(self):
-        if self.kkt_tolerance <= 0 or self.kkt_tolerance >= 1e-4:
+        if not 0 < self.kkt_tolerance < 1e-4:
             raise ValueError("kkt_tolerance must lie in (0, 1e-4)")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be positive")
+        if not isinstance(self.max_iterations, int) or self.max_iterations < 1:
+            raise ValueError("max_iterations must be a positive integer")
 
 
 @dataclass

@@ -61,20 +61,19 @@ class OcpDefinition:
     ``(..., n_u)``; the Jacobians are ``(..., n_x, n_x)`` and
     ``(..., n_x, n_u)``, the running cost ``(...)``.  Written with
     ``x[..., i]`` indexing they also take one node (scalar ``t``, 1-D ``x``
-    and ``u``).  Endpoint costs and boundary maps take one state.  Costs
-    default to zero and the final boundary to none (``n_phif = 0``).
+    and ``u``).  Endpoint costs and boundary maps take one state; a boundary
+    map returns a scalar or a vector.  Costs default to zero and the final
+    boundary to none.  No dimension is declared: the transcript reads
+    ``n_x`` and ``n_u`` off the guess and the boundary row counts off the
+    boundary maps.
     """
 
-    name: str
-    n_x: int
-    n_u: int
     t0: float
     tf: float
     dynamics: Callable[[Vector, Vector, Vector], Vector]
     dynamics_jacobians: Callable[[Vector, Vector, Vector], tuple]
     boundary_initial: Callable[[float, Vector], Vector]
     boundary_initial_jacobian: Callable[[float, Vector], Vector]
-    n_phi0: int
     initial_guess: Callable[[Vector], tuple]
     running_cost: Callable[[Vector, Vector, Vector], Vector] = _zero_cost
     running_cost_gradients: Callable[[Vector, Vector, Vector], tuple] = _zero_cost_gradients
@@ -84,15 +83,10 @@ class OcpDefinition:
     endpoint_cost_final_gradient: Callable[[float, Vector], Vector] = _zero_state_gradient
     boundary_final: Callable[[float, Vector], Vector] = _no_boundary
     boundary_final_jacobian: Callable[[float, Vector], Vector] = _no_boundary_jacobian
-    n_phif: int = 0
 
     def __post_init__(self):
-        if self.n_x < 1 or self.n_u < 1:
-            raise ValueError("state and control dimensions must be positive")
         if not self.tf > self.t0:
             raise ValueError(f"need tf > t0, got [{self.t0}, {self.tf}]")
-        if self.n_phi0 < 0 or self.n_phif < 0:
-            raise ValueError("boundary dimensions must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -204,9 +198,6 @@ def orbit_raising() -> OcpDefinition:
         return np.array([-1.0, 0.0, 0.0, 0.0, 0.0])
 
     return OcpDefinition(
-        name="orbit-raising",
-        n_x=5,
-        n_u=1,
         t0=0.0,
         tf=_ORBIT_TF,
         dynamics=_orbit_dynamics,
@@ -217,8 +208,6 @@ def orbit_raising() -> OcpDefinition:
         boundary_initial_jacobian=boundary_initial_jacobian,
         boundary_final=boundary_final,
         boundary_final_jacobian=boundary_final_jacobian,
-        n_phi0=5,
-        n_phif=2,
         initial_guess=_orbit_guess,
     )
 
@@ -254,9 +243,6 @@ def nonlinear_ivp() -> tuple[OcpDefinition, AnalyticTruth]:
         return np.ones(np.shape(t) + (1,)), np.full(np.shape(t) + (1,), 0.5)
 
     defn = OcpDefinition(
-        name="nonlinear-ivp",
-        n_x=1,
-        n_u=1,
         t0=0.0,
         tf=2.0,
         dynamics=_ivp_dynamics,
@@ -265,7 +251,6 @@ def nonlinear_ivp() -> tuple[OcpDefinition, AnalyticTruth]:
         endpoint_cost_final_gradient=lambda t, x: np.array([-1.0]),
         boundary_initial=lambda t, x: x - 1.0,
         boundary_initial_jacobian=lambda t, x: np.eye(1),
-        n_phi0=1,
         initial_guess=guess,
     )
 

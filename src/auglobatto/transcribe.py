@@ -34,6 +34,11 @@ class Method(Enum):
 class Transcript:
     """Finite-dimensional image of one problem on one grid.
 
+    ``n_x`` and ``n_u`` are the column counts of ``initial_guess`` on the
+    collocation times, ``n_phi0`` and ``n_phif`` the lengths of the boundary
+    maps at its ends.  Construction reads them first, then calls every other
+    callback once and raises ValueError naming any whose shape disagrees.
+
     Layout of the decision vector ``z``: state samples node-major first
     (``n_state_nodes`` blocks of ``n_x``), then control samples node-major
     (``n`` blocks of ``n_u``).  Constraint vector: defect rows node-major
@@ -65,8 +70,6 @@ class Transcript:
         self.ns = ns
         self.method = method
         self.n = ns.n
-        self.n_x = ocp.n_x
-        self.n_u = ocp.n_u
         self.half_dt = 0.5 * (ocp.tf - ocp.t0)
         self._mid = 0.5 * (ocp.tf + ocp.t0)
 
@@ -83,10 +86,11 @@ class Transcript:
         self.n_state_nodes = state_taus.size
         self.state_times = self.map_time(state_taus)
         self.collocation_times = self.map_time(ns.collocation)
+        self._read_callbacks()
         self.n_defect = self.n * self.n_x
         self.n_state_vars = self.n_state_nodes * self.n_x
         self.n_z = self.n_state_vars + self.n * self.n_u
-        self.n_constraints = self.n_defect + ocp.n_phi0 + ocp.n_phif
+        self.n_constraints = self.n_defect + self.n_phi0 + self.n_phif
         states = np.arange(self.n_defect).reshape(self.n, self.n_x)
         controls = np.arange(self.n_state_vars, self.n_z).reshape(self.n, self.n_u)
         self._nodes = np.hstack([states, controls])
@@ -100,8 +104,6 @@ class Transcript:
             self.diff.entries, np.eye(self.n_x)
         ) / self.half_dt
         self._quadrature = self.half_dt * ns.weights[:, None]
-
-        self._validate_shapes()
 
     # -- layout helpers ----------------------------------------------------
 
@@ -156,7 +158,7 @@ class Transcript:
         values = np.empty(self.n_constraints)
         rhs = ocp.dynamics(self.collocation_times, states[: self.n], controls)
         values[: self.n_defect] = (rhs - (self.diff.entries @ states) / self.half_dt).ravel()
-        row0 = self.n_defect + ocp.n_phi0
+        row0 = self.n_defect + self.n_phi0
         values[self.n_defect : row0] = ocp.boundary_initial(ocp.t0, states[0])
         values[row0:] = ocp.boundary_final(ocp.tf, states[self.n - 1])
         return values
@@ -169,7 +171,7 @@ class Transcript:
         flat = J.reshape(-1)
         flat[self._blocks[:, : self.n_x, : self.n_x]] += A
         flat[self._blocks[:, : self.n_x, self.n_x :]] = B
-        row0 = self.n_defect + ocp.n_phi0
+        row0 = self.n_defect + self.n_phi0
         J[self.n_defect : row0, : self.n_x] = ocp.boundary_initial_jacobian(ocp.t0, states[0])
         J[row0:, self.n_defect - self.n_x : self.n_defect] = ocp.boundary_final_jacobian(
             ocp.tf, states[self.n - 1]
@@ -197,33 +199,45 @@ class Transcript:
 
     # -- construction checks ----------------------------------------------
 
-    def _validate_shapes(self):
-        """Call every node-array callback once on the whole guess grid, and
-        every endpoint callback once on its end of it."""
+    def _read_callbacks(self):
+        """Take the dimensions from the guess on the collocation times and
+        from the boundary maps at its ends, then call every other node-array
+        callback once on the guess and every other endpoint callback once on
+        its end of it."""
         ocp = self.ocp
-        n, n_x, n_u = self.n, self.n_x, self.n_u
-        tc = self.collocation_times
-        x, u = ocp.initial_guess(tc)
-        _check_shapes("initial_guess", (x, u), (n, n_x), (n, n_u))
+        n, tc = self.n, self.collocation_times
+        guess = ocp.initial_guess(tc)
+        shapes = tuple(np.shape(a) for a in guess)
+        if len(shapes) != 2 or any(len(s) != 2 or s[0] != n or s[1] < 1 for s in shapes):
+            raise ValueError(
+                f"initial_guess returned shapes {shapes}, "
+                f"expected two arrays of {n} rows and at least one column"
+            )
+        x, u = guess
+        x0, xf = x[0], x[n - 1]
+        self.n_x, self.n_u = n_x, n_u = x.shape[1], u.shape[1]
+        self.n_phi0 = _boundary_rows("boundary_initial", ocp.boundary_initial(ocp.t0, x0))
+        self.n_phif = _boundary_rows("boundary_final", ocp.boundary_final(ocp.tf, xf))
         _check_shapes("dynamics", (ocp.dynamics(tc, x, u),), (n, n_x))
         jacobians = ocp.dynamics_jacobians(tc, x, u)
         _check_shapes("dynamics_jacobians", jacobians, (n, n_x, n_x), (n, n_x, n_u))
         _check_shapes("running_cost", (ocp.running_cost(tc, x, u),), (n,))
         gradients = ocp.running_cost_gradients(tc, x, u)
         _check_shapes("running_cost_gradients", gradients, (n, n_x), (n, n_u))
-        x0, xf = x[0], x[n - 1]
-        phi0 = np.atleast_1d(ocp.boundary_initial(ocp.t0, x0))
-        _check_shapes("boundary_initial", (phi0,), (ocp.n_phi0,))
-        phif = np.atleast_1d(ocp.boundary_final(ocp.tf, xf))
-        _check_shapes("boundary_final", (phif,), (ocp.n_phif,))
         jac0 = ocp.boundary_initial_jacobian(ocp.t0, x0)
-        _check_shapes("boundary_initial_jacobian", (jac0,), (ocp.n_phi0, n_x))
+        _check_shapes("boundary_initial_jacobian", (jac0,), (self.n_phi0, n_x))
         jacf = ocp.boundary_final_jacobian(ocp.tf, xf)
-        _check_shapes("boundary_final_jacobian", (jacf,), (ocp.n_phif, n_x))
+        _check_shapes("boundary_final_jacobian", (jacf,), (self.n_phif, n_x))
         grad0 = ocp.endpoint_cost_initial_gradient(ocp.t0, x0)
         _check_shapes("endpoint_cost_initial_gradient", (grad0,), (n_x,))
         gradf = ocp.endpoint_cost_final_gradient(ocp.tf, xf)
         _check_shapes("endpoint_cost_final_gradient", (gradf,), (n_x,))
+
+
+def _boundary_rows(name, value):
+    if np.ndim(value) > 1:
+        raise ValueError(f"{name} returned shape {np.shape(value)}, expected a vector")
+    return int(np.size(value))
 
 
 def _check_shapes(name, arrays, *expected):
@@ -251,9 +265,7 @@ class Solution:
     states: np.ndarray
     controls: np.ndarray
     costates: np.ndarray
-    multipliers_raw: np.ndarray
     boundary_multipliers: tuple
-    objective_value: float
     kkt_residual: float
 
 
@@ -279,16 +291,14 @@ def assemble_solution(
 ) -> Solution:
     states, controls = t.unpack(z)
     raw = np.asarray(multipliers, dtype=float)
-    nu0 = raw[t.n_defect : t.n_defect + t.ocp.n_phi0].copy()
-    nuf = raw[t.n_defect + t.ocp.n_phi0 :].copy()
+    nu0 = raw[t.n_defect : t.n_defect + t.n_phi0].copy()
+    nuf = raw[t.n_defect + t.n_phi0 :].copy()
     return Solution(
         times=t.state_times.copy(),
         states=states.copy(),
         controls=controls.copy(),
         costates=extract_costates(t, raw),
-        multipliers_raw=raw.copy(),
         boundary_multipliers=(nu0, nuf),
-        objective_value=t.objective(z),
         kkt_residual=float(kkt_residual),
     )
 

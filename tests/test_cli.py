@@ -259,7 +259,7 @@ def test_singular_solve_exits_nonzero_and_names_the_failed_searches(tmp_path, ca
 
 
 @pytest.mark.parametrize(
-    "flags", [["--tol", "1e-3"], ["--tol", "-1"], ["--max-iter", "0"]]
+    "flags", [["--tol", "1e-3"], ["--tol", "-1"], ["--max-iter", "0"], ["--tol", "nan"]]
 )
 def test_solve_rejects_bad_solver_options(flags, tmp_path, capsys):
     path = tmp_path / "never.csv"

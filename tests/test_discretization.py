@@ -74,6 +74,13 @@ class TestBasis:
         out = basis.values(np.array([0.1, 0.2]))
         assert out.shape == (2, 3)
 
+    def test_caller_array_stays_writeable_and_unshared(self):
+        x = np.array([-1.0, 0.0, 1.0])
+        basis = build_basis(x)
+        assert x.flags.writeable and not basis.nodes.flags.writeable
+        x[1] = 0.5
+        np.testing.assert_array_equal(basis.nodes, [-1.0, 0.0, 1.0])
+
 
 class TestNewLobattoMatrix:
     def test_shape_and_kind(self):
@@ -82,6 +89,13 @@ class TestNewLobattoMatrix:
         assert D.entries.shape == (6, 7)
         assert D.row_nodes is ns.collocation
         np.testing.assert_array_equal(D.col_nodes, ns.all_nodes)
+
+    def test_every_array_of_every_matrix_is_read_only(self):
+        ns = lobatto_nodes(6)
+        D = build_new_lobatto_D(ns)
+        for mat in (D, build_standard_lobatto_D(ns), build_dual_D(ns, D)):
+            for array in (mat.entries, mat.row_nodes, mat.col_nodes):
+                assert not array.flags.writeable
 
     @pytest.mark.parametrize("n", [3, 5, 10, 20, 30])
     def test_annihilates_constants(self, n):

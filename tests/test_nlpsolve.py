@@ -322,7 +322,7 @@ def test_grouped_hessian_matches_column_loop(factory, method, monkeypatch):
         H = t.hessian(z, mult, base)
         # One perturbation per state and control component; the caller
         # already holds the gradient at the base point.
-        assert len(calls) == defn.n_x + defn.n_u
+        assert len(calls) == t.n_x + t.n_u
         reference = hessian_by_columns(t, z, mult)
         # A gradient row of one node reads only that node's unknowns, so
         # every kept difference is computed from the same numbers as its
@@ -337,7 +337,7 @@ def test_grouped_hessian_matches_column_loop(factory, method, monkeypatch):
         assert np.all(reference[~same_node] == 0.0)
         if method is Method.NEW_LOBATTO:
             extra = node_labels == t.n
-            assert np.count_nonzero(extra) == defn.n_x
+            assert np.count_nonzero(extra) == t.n_x
             assert np.all(reference[extra] == 0.0)
             assert np.all(reference[:, extra] == 0.0)
 
@@ -352,6 +352,8 @@ def test_grouped_hessian_matches_column_loop(factory, method, monkeypatch):
         {"kkt_tolerance": -1e-10},
         {"kkt_tolerance": 1e-4},
         {"max_iterations": 0},
+        {"kkt_tolerance": float("nan")},
+        {"max_iterations": 2.5},
     ],
 )
 def test_bad_options_rejected(kwargs):

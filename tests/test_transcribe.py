@@ -27,9 +27,6 @@ def constant_problem(n_x=2, value=0.0):
     """Trivial problem with constant dynamics and unit running cost, used to
     probe the defects and the quadrature."""
     return OcpDefinition(
-        name="probe",
-        n_x=n_x,
-        n_u=1,
         t0=0.0,
         tf=1.0,
         dynamics=lambda t, x, u: np.full(np.shape(x), value),
@@ -40,7 +37,6 @@ def constant_problem(n_x=2, value=0.0):
         running_cost=lambda t, x, u: np.ones(np.shape(t)),
         boundary_initial=lambda t, x: x - 1.0,
         boundary_initial_jacobian=lambda t, x: np.eye(n_x),
-        n_phi0=n_x,
         initial_guess=lambda t: (np.ones(np.shape(t) + (n_x,)), np.zeros(np.shape(t) + (1,))),
     )
 
@@ -225,10 +221,10 @@ def reference_callbacks(t: Transcript, z):
     J[: t.n_defect, : t.n_defect] += block_diagonal(A)
     J[: t.n_defect, t.n_state_vars :] = block_diagonal(B)
     row0 = t.n_defect
-    J[row0 : row0 + ocp.n_phi0, : t.n_x] = np.atleast_2d(
+    J[row0 : row0 + t.n_phi0, : t.n_x] = np.atleast_2d(
         ocp.boundary_initial_jacobian(ocp.t0, states[0])
     )
-    J[row0 + ocp.n_phi0 :, t.n_defect - t.n_x : t.n_defect] = np.atleast_2d(
+    J[row0 + t.n_phi0 :, t.n_defect - t.n_x : t.n_defect] = np.atleast_2d(
         ocp.boundary_final_jacobian(ocp.tf, states[n - 1])
     )
     return gradient, constraints, J
@@ -298,9 +294,7 @@ def make_solution(t: Transcript, states, controls, costates, nu0, nuf):
         states=states,
         controls=controls,
         costates=costates,
-        multipliers_raw=np.zeros(t.n_constraints),
         boundary_multipliers=(nu0, nuf),
-        objective_value=0.0,
         kkt_residual=0.0,
     )
 
@@ -429,9 +423,18 @@ class TestConstructionValidation:
         # Each wrong shape would broadcast into the constraints, Jacobian or
         # gradient without error: a one-row final Jacobian fills both of the
         # orbit's final rows, a one-entry gradient every state component.
+        # The boundary maps set the row counts, so a 4-entry initial boundary
+        # is blamed on its 5-row Jacobian, and only a 2-D value on the map.
         defn = orbit_raising()
+        for field, value, blamed in [
+            ("boundary_initial", np.zeros(4), "boundary_initial_jacobian"),
+            ("boundary_initial", np.zeros((5, 1)), "boundary_initial"),
+            ("boundary_final", np.zeros((1, 2)), "boundary_final"),
+        ]:
+            broken = replace(defn, **{field: lambda t, x, value=value: value})
+            with pytest.raises(ValueError, match=f"^{blamed} returned"):
+                transcribe(broken, lobatto_nodes(5), Method.NEW_LOBATTO)
         for field, value in [
-            ("boundary_initial", np.zeros(4)),
             ("boundary_initial_jacobian", np.eye(5)[:1]),
             ("boundary_final_jacobian", np.zeros((1, 5))),
             ("boundary_final_jacobian", np.zeros((2, 1))),
@@ -441,6 +444,31 @@ class TestConstructionValidation:
             broken = replace(defn, **{field: lambda t, x, value=value: value})
             with pytest.raises(ValueError, match=f"^{field} returned"):
                 transcribe(broken, lobatto_nodes(5), Method.NEW_LOBATTO)
+
+    @pytest.mark.parametrize(
+        "guess",
+        [
+            lambda t: (np.ones((t.size, 0)), np.ones((t.size, 1))),
+            lambda t: (np.ones((t.size, 1)), np.ones((t.size, 0))),
+            lambda t: (np.ones(t.size), np.ones((t.size, 1))),
+            lambda t: (np.ones((t.size + 1, 1)), np.ones((t.size + 1, 1))),
+            lambda t: (np.ones((t.size, 1)),),
+            lambda t: np.ones((t.size, 2)),
+        ],
+        ids=["no-state", "no-control", "1-d-state", "wrong-rows", "one-array", "no-tuple"],
+    )
+    def test_malformed_guess_rejected(self, guess):
+        from dataclasses import replace
+
+        defn, _ = nonlinear_ivp()
+        with pytest.raises(ValueError, match="^initial_guess returned"):
+            transcribe(replace(defn, initial_guess=guess), lobatto_nodes(5), Method.NEW_LOBATTO)
+
+    def test_dimensions_come_from_the_callbacks(self):
+        orbit = transcribe(orbit_raising(), lobatto_nodes(5), Method.NEW_LOBATTO)
+        assert (orbit.n_x, orbit.n_u, orbit.n_phi0, orbit.n_phif) == (5, 1, 5, 2)
+        ivp = transcribe(nonlinear_ivp()[0], lobatto_nodes(5), Method.NEW_LOBATTO)
+        assert (ivp.n_x, ivp.n_u, ivp.n_phi0, ivp.n_phif) == (1, 1, 1, 0)
 
     def test_unknown_method_rejected(self):
         defn, _ = nonlinear_ivp()
