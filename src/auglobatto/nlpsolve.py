@@ -22,11 +22,13 @@ negative.  When J has full row rank, the KKT inertia is the inertia of the
 reduced Hessian plus m positive and m negative eigenvalues, so a delta that
 leaves it clearly positive is certified and skips the eigenvalue test of
 the (n + m)-square KKT matrix.  The transcript says whether its
-differentiation matrix has full row rank (the augmented method's does); a
-delta within a small band around the reduced Hessian's zero crossing, and
-every delta of a square-method transcript, gets the full test.  A singular
-system with a rank-deficient constraint Jacobian additionally gets a small
-negative shift on the constraint block.  The step length comes from
+differentiation matrix has full row rank (the augmented method's does), and
+the diagonal of the QR's R vetoes the certificate when the problem's own
+boundary rows make J lose a rank; a delta within a small band around the
+reduced Hessian's zero crossing, and every delta of a transcript without
+the certificate, gets the full test.  A singular system with a
+rank-deficient constraint Jacobian additionally gets a small negative shift
+on the constraint block.  The step length comes from
 backtracking on the Euclidean norm of the full KKT residual.  Problems here
 have a few hundred unknowns at most, so everything is dense.
 
@@ -45,14 +47,15 @@ regularization and line-search constants are fixed; ``SolverOptions`` sets
 the KKT tolerance and the iteration budget.
 
 A solve that has stalled stops before the budget runs out.  The report keeps
-the gradient and constraint residuals of every iterate, and when one of them
-has stayed within the tolerance for the last ``_STALL_WINDOW`` iterations while
-the other has stayed above it without falling to ``_STALL_FACTOR`` of where
-the window began, the loop raises ``MaxIterationsError`` naming both.  The
-rank-deficient square transcripts end this way: their Newton steps keep one
-residual converged and leave the other on a floor just above the tolerance.
-A solve that is still making progress, such as one whose merit is flat while
-both residuals stay above the tolerance, never meets the rule.
+the gradient and constraint residuals of every iterate, and when, over the
+last ``_STALL_WINDOW`` iterations, each residual has either stayed within the
+tolerance or stayed above it without once falling below where the window
+began, and at least one has done the latter, the loop raises
+``MaxIterationsError`` naming both.  The rank-deficient square transcripts
+end this way when their Newton steps keep one residual converged and leave
+the other frozen on a floor just above the tolerance.  A residual that dips
+even once below its value at the start of the window is still moving, and
+the solve goes on.
 """
 
 from __future__ import annotations
@@ -68,7 +71,6 @@ _REGULARIZATION_CAP = 1e8
 _LINE_SEARCH_SHRINK = 0.5
 _MIN_STEP = 1e-12
 _STALL_WINDOW = 20
-_STALL_FACTOR = 0.5
 _MAX_FAILED_SEARCHES = 8
 
 
@@ -110,9 +112,9 @@ class SolveReport:
 
 class MaxIterationsError(RuntimeError):
     """The solve stopped short of the tolerance: either the iteration budget
-    ran out, or the solve stalled, with one residual converged and the other
-    stuck (``stall`` then names both, and ``report.iterations`` is the
-    iteration it stopped at)."""
+    ran out, or the solve stalled, with each residual converged or stuck and
+    at least one stuck (``stall`` then names both, and ``report.iterations``
+    is the iteration it stopped at)."""
 
     def __init__(self, report: SolveReport, stall: str | None = None):
         if stall is None:
@@ -164,27 +166,29 @@ def _stall(residuals, tolerance):
     """Why a solve with this residual history has stalled, or None.
 
     It has when, over the last ``_STALL_WINDOW`` iterations (the iterates
-    from that many steps back to the current one), one residual stayed at or
-    below ``tolerance`` and the other stayed above it and ended above
-    ``_STALL_FACTOR`` times where it began.
+    from that many steps back to the current one), each residual either
+    stayed at or below ``tolerance`` throughout, or stayed above it and never
+    fell below where the window began, and at least one did the latter.
     """
     if len(residuals) <= _STALL_WINDOW:
         return None
     window = np.array(residuals[-_STALL_WINDOW - 1 :])
+    done = np.all(window <= tolerance, axis=0)
+    # Never below a start above the tolerance is never within it either.
+    stuck = (window[0] > tolerance) & np.all(window >= window[0], axis=0)
+    if not np.all(done | stuck) or not np.any(stuck):
+        return None
     names = ("gradient", "constraint")
-    for done, stuck in ((0, 1), (1, 0)):
-        history = window[:, stuck]
-        if (
-            np.all(window[:, done] <= tolerance)
-            and np.all(history > tolerance)
-            and history[-1] > _STALL_FACTOR * history[0]
-        ):
-            return (
-                f"{names[done]} residual within {tolerance:.1e} for "
-                f"{_STALL_WINDOW} iterations, {names[stuck]} residual stuck at "
-                f"{history[-1]:.3e} (from {history[0]:.3e})"
-            )
-    return None
+    return ", ".join(
+        [
+            f"{names[k]} residual within {tolerance:.1e} for {_STALL_WINDOW} iterations"
+            for k in np.flatnonzero(done)
+        ]
+        + [
+            f"{names[k]} residual stuck at {window[-1, k]:.3e} (from {window[0, k]:.3e})"
+            for k in np.flatnonzero(stuck)
+        ]
+    )
 
 
 def _regularizations():
@@ -214,7 +218,11 @@ def _inertia_band(H, J, full_row_rank):
     inertia of Z^T (H + delta I) Z plus m positive and m negative
     eigenvalues (Nocedal & Wright Thm 16.3; Gould 1985): exactly n positive
     and m negative, so ``_solve_kkt`` may skip its inertia test.  Without
-    ``full_row_rank`` nothing is certain and the upper edge is inf.
+    ``full_row_rank`` nothing is certain and the upper edge is inf.  The flag
+    speaks for the differentiation matrix only: the problem's boundary rows
+    can still repeat one another, so the diagonal of the QR's R, whose
+    smallest entry falls to rounding when J loses a rank, vetoes the
+    certificate once it spans more than 1e12.
 
     Inside the band ``_solve_kkt`` runs its full test.  The margins, 1e-6
     below and 1e-5 above times max(1, max|H|), keep roundoff in the small
@@ -225,13 +233,15 @@ def _inertia_band(H, J, full_row_rank):
     if m >= n:
         return -np.inf, np.inf
     try:
-        Q, _ = np.linalg.qr(J.T, mode="complete")
+        Q, R = np.linalg.qr(J.T, mode="complete")
         Z = Q[:, m:]
         lowest = np.linalg.eigvalsh(Z.T @ H @ Z)[0]
     except np.linalg.LinAlgError:
         return -np.inf, np.inf
     scale = max(1.0, float(np.max(np.abs(H))))
-    certain_above = 1e-5 * scale - lowest if full_row_rank else np.inf
+    pivots = np.abs(np.diag(R))
+    certain = full_row_rank and pivots.min() > 1e-12 * pivots.max()
+    certain_above = 1e-5 * scale - lowest if certain else np.inf
     return -lowest - 1e-6 * scale, certain_above
 
 

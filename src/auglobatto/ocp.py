@@ -14,7 +14,7 @@ be measured against the analytic triple.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable
 
 import numpy as np
@@ -63,9 +63,10 @@ class OcpDefinition:
     ``x[..., i]`` indexing they also take one node (scalar ``t``, 1-D ``x``
     and ``u``).  Endpoint costs and boundary maps take one state; a boundary
     map returns a scalar or a vector.  Costs default to zero and the final
-    boundary to none.  No dimension is declared: the transcript reads
-    ``n_x`` and ``n_u`` off the guess and the boundary row counts off the
-    boundary maps.
+    boundary to none; a cost and its gradient are given together or not at
+    all, else ``ValueError`` names the missing one.  No dimension is
+    declared: the transcript reads ``n_x`` and ``n_u`` off the guess and the
+    boundary row counts off the boundary maps.
     """
 
     t0: float
@@ -87,6 +88,18 @@ class OcpDefinition:
     def __post_init__(self):
         if not self.tf > self.t0:
             raise ValueError(f"need tf > t0, got [{self.t0}, {self.tf}]")
+        # A cost left without its gradient would be optimized with the zero
+        # default, silently; so each cost comes with its gradient or neither.
+        defaults = {f.name: f.default for f in fields(self)}
+        for cost, gradient in (
+            ("running_cost", "running_cost_gradients"),
+            ("endpoint_cost_initial", "endpoint_cost_initial_gradient"),
+            ("endpoint_cost_final", "endpoint_cost_final_gradient"),
+        ):
+            has_cost = getattr(self, cost) is not defaults[cost]
+            if has_cost != (getattr(self, gradient) is not defaults[gradient]):
+                given, missing = (cost, gradient) if has_cost else (gradient, cost)
+                raise ValueError(f"{given} is given without {missing}")
 
 
 @dataclass(frozen=True)

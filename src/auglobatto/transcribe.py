@@ -60,9 +60,9 @@ class Transcript:
 
     ``full_row_rank`` is true for the augmented method: its N x (N+1)
     matrix has full row rank by construction, while the square matrix loses
-    a rank.  The solver then takes the constraint Jacobian to have full row
-    rank too, as the augmented construction intends, and reads the KKT
-    inertia off the reduced Hessian.
+    a rank.  The solver then reads the KKT inertia off the reduced Hessian,
+    unless its QR of the constraint Jacobian shows that boundary rows which
+    repeat one another cost it a rank.
     """
 
     def __init__(self, ocp: OcpDefinition, ns: NodeSet, method: Method):

@@ -2,6 +2,7 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -285,6 +286,25 @@ def test_rank_deficient_probe_never_certifies(monkeypatch):
     np.testing.assert_array_equal(mult_tested, mult)
 
 
+def test_repeated_rows_veto_the_certificate(monkeypatch):
+    # Two copies of "z_1 = 1" under a flag that claims full row rank: the
+    # QR's diagonal vetoes the certificate, and every try runs the
+    # eigenvalue test, as for the probe that says it is rank-deficient.
+    A = np.zeros((2, 3))
+    A[:, 0] = 1.0
+    assert _inertia_band(2.0 * np.eye(3), A, True)[1] == np.inf
+    probe = QuadraticProbe(A, [1.0, 1.0], np.full(3, 0.4))
+    assert not probe.full_row_rank
+    z, mult, _ = solve(probe)
+    probe.full_row_rank = True
+    calls = kkt_eigvalsh_calls(monkeypatch, 5)
+    z_flagged, mult_flagged, report = solve(probe)
+    assert report.converged
+    assert calls.count(True) >= report.iterations > 0
+    np.testing.assert_array_equal(z_flagged, z)
+    np.testing.assert_array_equal(mult_flagged, mult)
+
+
 # -- grouped Hessian -------------------------------------------------------
 
 
@@ -449,25 +469,34 @@ def test_max_iterations_carries_report():
 # -- stall stop ------------------------------------------------------------
 
 
-def test_stall_needs_a_converged_residual_and_a_stuck_one():
+def test_stall_needs_each_residual_converged_or_stuck():
     tol = 1e-10
     window = nlpsolve._STALL_WINDOW
     stuck = [(1e-12, 3e-9)] * (window + 1)
     assert _stall(stuck[:-1], tol) is None  # the window is not full yet
-    assert "constraint residual stuck at 3.000e-09" in _stall(stuck, tol)
+    assert _stall(stuck, tol) == (
+        f"gradient residual within 1.0e-10 for {window} iterations, "
+        "constraint residual stuck at 3.000e-09 (from 3.000e-09)"
+    )
     # No square IVP solve of N=6..30 stalls this way round; the message
-    # names both residuals.
+    # names the converged residual first.
     assert _stall([(c, g) for g, c in stuck], tol) == (
         f"constraint residual within 1.0e-10 for {window} iterations, "
         "gradient residual stuck at 3.000e-09 (from 3.000e-09)"
     )
-    # Falling by 0.97 per step is not halving over 20 steps; 0.96 is.
+    # Both residuals frozen above the tolerance is a stall too.
+    assert _stall([(2e-10, 3e-9)] * (window + 1), tol) == (
+        "gradient residual stuck at 2.000e-10 (from 2.000e-10), "
+        "constraint residual stuck at 3.000e-09 (from 3.000e-09)"
+    )
+    # A residual that grows is stuck; one that falls, however slowly, is not.
+    rising = [(1e-12, 3e-9 * 1.01**k) for k in range(window + 1)]
+    assert "constraint residual stuck at 3.661e-09" in _stall(rising, tol)
     slow = [(1e-12, 3e-9 * 0.97**k) for k in range(window + 1)]
-    assert _stall(slow, tol) is not None
-    falling = [(1e-12, 3e-9 * 0.96**k) for k in range(window + 1)]
-    assert _stall(falling, tol) is None
-    # Neither residual converged, or the converged one left the tolerance.
-    assert _stall([(2e-10, 3e-9)] * (window + 1), tol) is None
+    assert _stall(slow, tol) is None
+    # One dip below the window's start is enough to keep going.
+    assert _stall(stuck[:5] + [(1e-12, 2.9e-9)] + stuck[6:], tol) is None
+    # The converged residual left the tolerance inside the window.
     assert _stall([(2e-10, 3e-9)] + stuck[1:], tol) is None
     # The stuck residual touched the tolerance inside the window.
     assert _stall(stuck[:5] + [(1e-12, 1e-10)] + stuck[6:], tol) is None
@@ -590,6 +619,89 @@ def test_singular_kkt_carries_report(n):
     assert len(report.residuals) == report.iterations + 1
 
 
+# -- boundary rows that repeat or contradict each other ---------------------
+
+
+def ivp_with_initial_rows(*targets):
+    """The IVP with one initial boundary row x(0) = target per target."""
+    defn, _ = nonlinear_ivp()
+    targets = np.array(targets)
+    return replace(
+        defn,
+        boundary_initial=lambda t, x: x[0] - targets,
+        boundary_initial_jacobian=lambda t, x: np.ones((targets.size, 1)),
+    )
+
+
+@pytest.mark.parametrize("n", [10, 20, 25])
+def test_repeated_initial_row_converges_on_the_augmented_method(n):
+    # The rectangular differentiation matrix has full row rank, but the
+    # repeated row costs J one; certifying its inertia anyway ended every
+    # try singular, up to the regularization cap.
+    defn, truth = nonlinear_ivp()
+    t = transcribe(ivp_with_initial_rows(1.0, 1.0), lobatto_nodes(n), Method.NEW_LOBATTO)
+    z, mult, report = solve(t)
+    assert report.converged
+    assert report.iterations <= 10
+    plain = transcribe(defn, lobatto_nodes(n), Method.NEW_LOBATTO)
+    z_plain, mult_plain, _ = solve(plain)
+    np.testing.assert_allclose(z, z_plain, atol=1e-9)
+    # The two rows share the one row's multiplier; the costates are the same.
+    np.testing.assert_allclose(mult[: t.n_defect], mult_plain[: t.n_defect], atol=1e-9)
+    if n == 25:
+        costates = assemble_solution(t, z, mult, report.final_kkt_norm).costates
+        assert np.max(np.abs(costates[:, 0] - truth.costate_fn(t.collocation_times))) <= 1e-12
+
+
+@pytest.mark.parametrize("n", [25, 45])
+def test_orbit_with_a_redundant_radius_row_converges(n):
+    # r(0) = 1 once more, after the five initial rows.
+    orbit = orbit_raising()
+    redundant = replace(
+        orbit,
+        boundary_initial=lambda t, x: np.append(orbit.boundary_initial(t, x), x[0] - 1.0),
+        boundary_initial_jacobian=lambda t, x: np.vstack([np.eye(5), np.eye(5)[:1]]),
+    )
+    t = transcribe(redundant, lobatto_nodes(n), Method.NEW_LOBATTO)
+    z, _, report = solve(t)
+    assert report.converged
+    assert report.iterations <= 25
+    plain = transcribe(orbit, lobatto_nodes(n), Method.NEW_LOBATTO)
+    z_plain, _, _ = solve(plain)
+    r_f = t.unpack(z)[0][n - 1, 0]
+    assert abs(r_f - plain.unpack(z_plain)[0][n - 1, 0]) <= 1e-9
+
+
+def test_unreachable_final_state_stalls_early():
+    # x' = 5/2 (x u - x - u^2) <= 5/2 x (x/4 - 1) < 0 from x(0) = 1, so
+    # x(2) = 5 is out of reach: the gradient converges and the constraints
+    # freeze.
+    defn, _ = nonlinear_ivp()
+    unreachable = replace(
+        defn,
+        boundary_final=lambda t, x: x - 5.0,
+        boundary_final_jacobian=lambda t, x: np.eye(1),
+    )
+    t = transcribe(unreachable, lobatto_nodes(10), Method.NEW_LOBATTO)
+    with pytest.raises(MaxIterationsError) as err:
+        solve(t)
+    assert re.match(
+        r"stalled at iteration \d+: gradient residual within 1\.0e-10 for 20 "
+        r"iterations, constraint residual stuck at ",
+        str(err.value),
+    )
+    assert err.value.report.iterations <= 25
+
+
+@pytest.mark.parametrize("method", list(Method))
+def test_contradictory_initial_rows_end_on_the_failed_search_cap(method):
+    t = transcribe(ivp_with_initial_rows(1.0, 2.0), lobatto_nodes(10), method)
+    with pytest.raises(SingularKktError) as err:
+        solve(t)
+    assert "no step length helped at 8 regularizations" in str(err.value)
+    assert err.value.report.iterations <= 25
+
+
 def test_solves_without_scipy():
     # The inertia work must stay numpy-only: scipy often sits beside numpy
     # but is not a dependency, so make every import of it fail.
@@ -635,3 +747,30 @@ def test_standard_method_states_fine_costates_wrong():
     tc = t.collocation_times
     assert np.max(np.abs(sol.states[:, 0] - truth.state_fn(tc))) < 1e-4
     assert np.max(np.abs(sol.costates[:, 0] - truth.costate_fn(tc))) > 1e-3
+
+
+def square_multiplier_error(n):
+    """The square method's defect-multiplier error at its converged solve,
+    split into the part along J's last left singular vector and the rest;
+    max norms of each.  The exact multipliers are the costate times the
+    quadrature weight and half the horizon."""
+    defn, truth = nonlinear_ivp()
+    t = transcribe(defn, lobatto_nodes(n), Method.STANDARD_LOBATTO)
+    z, mult, report = solve(t)
+    assert report.converged
+    exact = truth.costate_fn(t.collocation_times) * t.ns.weights * t.half_dt
+    error = mult[: t.n_defect] - exact
+    direction = np.linalg.svd(t.jacobian(z))[0][: t.n_defect, -1]
+    along = (direction @ error) * direction
+    return np.max(np.abs(along)), np.max(np.abs(error - along))
+
+
+def test_square_costate_error_lies_along_one_direction():
+    # The square transcript's J is nearly singular at its optimum
+    # (sigma_min / sigma_max = 1.2e-8 at N=25), and its multipliers are off
+    # along that one direction only: the rest converges spectrally.
+    _, off_12 = square_multiplier_error(12)
+    along_25, off_25 = square_multiplier_error(25)
+    assert off_25 <= 1e-9
+    assert along_25 >= 1e-4
+    assert off_12 > 1e3 * off_25

@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -197,6 +199,33 @@ class TestValidation:
 
         with pytest.raises(ValueError, match="tf > t0"):
             replace(defn, t0=2.0, tf=0.0)
+
+    @pytest.mark.parametrize(
+        "given, missing",
+        [
+            ("running_cost", "running_cost_gradients"),
+            ("running_cost_gradients", "running_cost"),
+            ("endpoint_cost_initial", "endpoint_cost_initial_gradient"),
+            ("endpoint_cost_initial_gradient", "endpoint_cost_initial"),
+            ("endpoint_cost_final", "endpoint_cost_final_gradient"),
+            ("endpoint_cost_final_gradient", "endpoint_cost_final"),
+        ],
+    )
+    def test_cost_and_gradient_come_together(self, given, missing):
+        # Without its gradient a cost would be optimized with the zero
+        # default: README's example then "converges" at iteration 0.
+        defn, _ = nonlinear_ivp()
+        kwargs = {f.name: getattr(defn, f.name) for f in fields(defn)}
+        kwargs.update(
+            running_cost=lambda t, x, u: 0.5 * u[..., 0] ** 2,
+            running_cost_gradients=lambda t, x, u: (np.zeros(np.shape(x)), u),
+            endpoint_cost_initial=lambda t, x: x[0],
+            endpoint_cost_initial_gradient=lambda t, x: np.ones(1),
+        )
+        OcpDefinition(**kwargs)
+        del kwargs[missing]
+        with pytest.raises(ValueError, match=f"^{given} is given without {missing}$"):
+            OcpDefinition(**kwargs)
 
     def test_truth_type(self):
         _, truth = nonlinear_ivp()

@@ -35,6 +35,7 @@ def constant_problem(n_x=2, value=0.0):
             np.zeros(np.shape(x) + (1,)),
         ),
         running_cost=lambda t, x, u: np.ones(np.shape(t)),
+        running_cost_gradients=lambda t, x, u: (np.zeros(np.shape(x)), np.zeros(np.shape(u))),
         boundary_initial=lambda t, x: x - 1.0,
         boundary_initial_jacobian=lambda t, x: np.eye(n_x),
         initial_guess=lambda t: (np.ones(np.shape(t) + (n_x,)), np.zeros(np.shape(t) + (1,))),
@@ -441,7 +442,11 @@ class TestConstructionValidation:
             ("endpoint_cost_initial_gradient", np.zeros(1)),
             ("endpoint_cost_final_gradient", np.array([-1.0])),
         ]:
-            broken = replace(defn, **{field: lambda t, x, value=value: value})
+            changes = {field: lambda t, x, value=value: value}
+            if field == "endpoint_cost_initial_gradient":
+                # A gradient comes with its cost.
+                changes["endpoint_cost_initial"] = lambda t, x: 0.0
+            broken = replace(defn, **changes)
             with pytest.raises(ValueError, match=f"^{field} returned"):
                 transcribe(broken, lobatto_nodes(5), Method.NEW_LOBATTO)
 
