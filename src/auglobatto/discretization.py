@@ -89,12 +89,14 @@ class DiffMatrix:
 def build_basis(nodes) -> LagrangeBasis:
     """Construct a barycentric Lagrange basis on distinct nodes.
 
-    Raises ValueError naming the closest pair if two nodes coincide to
-    within 1e-12.
+    Raises ValueError if a node is not finite, or naming the closest pair
+    if two nodes coincide to within 1e-12.
     """
     x = np.array(nodes, dtype=float)
     if x.ndim != 1 or x.size < 2:
         raise ValueError("need a one-dimensional array of at least two nodes")
+    if not np.all(np.isfinite(x)):
+        raise ValueError(f"nodes must be finite, got {x[~np.isfinite(x)][0]!r}")
     order = np.argsort(x)
     gaps = np.diff(x[order])
     tight = np.argmin(gaps)

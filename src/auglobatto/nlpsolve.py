@@ -60,6 +60,7 @@ the solve goes on.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -82,7 +83,8 @@ class SolverOptions:
     def __post_init__(self):
         if not 0 < self.kkt_tolerance < 1e-4:
             raise ValueError("kkt_tolerance must lie in (0, 1e-4)")
-        if not isinstance(self.max_iterations, int) or self.max_iterations < 1:
+        count = self.max_iterations
+        if isinstance(count, bool) or not isinstance(count, numbers.Integral) or count < 1:
             raise ValueError("max_iterations must be a positive integer")
 
 

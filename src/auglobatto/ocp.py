@@ -86,8 +86,8 @@ class OcpDefinition:
     boundary_final_jacobian: Callable[[float, Vector], Vector] = _no_boundary_jacobian
 
     def __post_init__(self):
-        if not self.tf > self.t0:
-            raise ValueError(f"need tf > t0, got [{self.t0}, {self.tf}]")
+        if not (np.isfinite(self.t0) and np.isfinite(self.tf) and self.tf > self.t0):
+            raise ValueError(f"need finite tf > t0, got [{self.t0}, {self.tf}]")
         # A cost left without its gradient would be optimized with the zero
         # default, silently; so each cost comes with its gradient or neither.
         defaults = {f.name: f.default for f in fields(self)}

@@ -84,9 +84,10 @@ def _legendre_recurrence(n: int, tau: np.ndarray):
 
 
 def _check_tau(tau: np.ndarray) -> None:
-    if np.any(np.abs(tau) > 1.0 + _TAU_SLACK):
-        bad = np.asarray(tau)[np.abs(tau) > 1.0 + _TAU_SLACK]
-        raise ValueError(f"tau outside [-1, 1]: {bad.flat[0]!r}")
+    # Written as "not inside" so that NaN fails too.
+    outside = ~(np.abs(tau) <= 1.0 + _TAU_SLACK)
+    if np.any(outside):
+        raise ValueError(f"tau outside [-1, 1]: {np.asarray(tau)[outside].flat[0]!r}")
 
 
 def legendre_eval(n: int, tau):

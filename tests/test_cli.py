@@ -71,6 +71,30 @@ def test_nodes_rejects_small_n(capsys):
     assert err.value.code == 2
 
 
+CONVERGE = ["converge", "--problem", "nonlinear-ivp", "--out", "never.csv"]
+
+
+@pytest.mark.parametrize(
+    "argv,flag",
+    [
+        (["diffmat", "--n", "2"], "--n"),
+        (["solve", "--problem", "nonlinear-ivp", "--n", "2", "--out", "never.csv"], "--n"),
+        (CONVERGE + ["--n-min", "2", "--n-max", "8", "--methods", "new-lobatto"], "--n-min"),
+        (CONVERGE + ["--n-min", "8", "--n-max", "7", "--methods", "new-lobatto"], "--n-max"),
+        (CONVERGE + ["--n-min", "6", "--n-max", "8", "--methods", ","], "--methods"),
+        (CONVERGE + ["--n-min", "6", "--n-max", "8", "--methods", "new-lobatto,bogus"], "--methods"),
+    ],
+    ids=["diffmat-n", "solve-n", "n-min", "n-max-below-n-min", "no-method", "unknown-method"],
+)
+def test_usage_error_exits_2_and_names_the_flag(argv, flag, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as err:
+        cli.main(argv)
+    assert err.value.code == 2
+    assert flag in capsys.readouterr().err
+    assert not (tmp_path / "never.csv").exists()
+
+
 def test_nodes_output_is_deterministic(capsys):
     _, first, _ = run(capsys, "nodes", "--n", "17")
     _, second, _ = run(capsys, "nodes", "--n", "17")
@@ -163,6 +187,43 @@ def test_solve_ivp_exceptional_row_has_states_only(ivp_solve_csv):
     assert 0.0 < float(row[0]) < 2.0
     times = [float(r[0]) for r in rows]
     assert times == sorted(times)
+
+
+@pytest.mark.parametrize(
+    "problem,n,method",
+    [
+        ("nonlinear-ivp", 10, "new-lobatto"),
+        ("nonlinear-ivp", 12, "standard-lobatto"),
+        ("orbit-raising", 25, "new-lobatto"),
+    ],
+)
+def test_solve_values_round_trip(problem, n, method, tmp_path):
+    from auglobatto.nlpsolve import solve
+    from auglobatto.orthopoly import lobatto_nodes
+    from auglobatto.transcribe import Method, assemble_solution, transcribe
+
+    path = tmp_path / "sol.csv"
+    argv = ["solve", "--problem", problem, "--n", str(n), "--method", method]
+    assert cli.main(argv + ["--out", str(path)]) == 0
+    header, body = parse(path.read_text(encoding="utf-8"))
+
+    loaded = cli.nonlinear_ivp()[0] if problem == "nonlinear-ivp" else cli.orbit_raising()
+    t = transcribe(loaded, lobatto_nodes(n), Method(method))
+    z, mult, report = solve(t)
+    sol = assemble_solution(t, z, mult, report.final_kkt_norm)
+    order = np.argsort(sol.times, kind="stable")
+    assert len(header) == 1 + 2 * t.n_x + t.n_u
+    assert [float(row[0]) for row in body] == list(sol.times[order])
+    x_cols, u_cols = slice(1, 1 + t.n_x), slice(1 + t.n_x, 1 + t.n_x + t.n_u)
+    lam_cols = slice(1 + t.n_x + t.n_u, None)
+    for row, i in zip(body, order):
+        assert [float(v) for v in row[x_cols]] == list(sol.states[i])
+        if i < t.n:
+            assert [float(v) for v in row[u_cols]] == list(sol.controls[i])
+            assert [float(v) for v in row[lam_cols]] == list(sol.costates[i])
+        else:
+            assert row[u_cols] + row[lam_cols] == [""] * (t.n_u + t.n_x)
+    assert len(body) == len(sol.times) == t.n + (method == "new-lobatto")
 
 
 def test_solve_is_deterministic(tmp_path):
@@ -317,6 +378,77 @@ def test_converge_sweep_structure(tmp_path):
     new_rows = {int(r[0]): r for r in rows if r[1] == "new-lobatto"}
     assert all(new_rows[n][5] == "true" for n in (6, 7, 8))
     assert float(new_rows[8][2]) < float(new_rows[6][2])
+
+
+def test_converge_fields_are_the_sweep_records(tmp_path):
+    path = tmp_path / "sweep.csv"
+    methods = ["new-lobatto", "standard-lobatto"]
+    argv = ["converge", "--problem", "nonlinear-ivp", "--n-min", "9", "--n-max", "11"]
+    assert cli.main(argv + ["--methods", " , ".join(methods), "--out", str(path)]) == 0
+    _, rows = parse(path.read_text(encoding="utf-8"))
+    records = cli.run_convergence_sweep("nonlinear-ivp", 9, 11, methods)
+    assert not all(rec.converged for rec in records)  # square N=11 fails
+    assert rows == [
+        [str(rec.n), rec.method]
+        + ["" if e is None else cli._fmt(e) for e in (rec.e_x, rec.e_u, rec.e_lambda)]
+        + [str(rec.converged).lower()]
+        for rec in records
+    ]
+
+
+def test_main_calls_the_functions_patched_into_the_module(tmp_path, monkeypatch, capsys):
+    # The benchmark's tracer swaps these names in the module's namespace;
+    # every subcommand must call through them.
+    calls = []
+
+    def spy(name):
+        original = getattr(cli, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(cli, name, wrapper)
+
+    for name in (
+        "nonlinear_ivp",
+        "orbit_raising",
+        "lobatto_nodes",
+        "solve",
+        "build_new_lobatto_D",
+        "build_standard_lobatto_D",
+        "build_dual_D",
+    ):
+        spy(name)
+
+    def ran(argv):
+        del calls[:]
+        assert cli.main(argv) == 0
+        return calls
+
+    out = str(tmp_path / "out.csv")
+    assert ran(["nodes", "--n", "5"]) == ["lobatto_nodes"]
+    assert ran(["diffmat", "--n", "5", "--kind", "standard"]) == [
+        "lobatto_nodes",
+        "build_standard_lobatto_D",
+    ]
+    assert ran(["diffmat", "--n", "5", "--kind", "dual"]) == [
+        "lobatto_nodes",
+        "build_new_lobatto_D",
+        "build_dual_D",
+    ]
+    assert ran(["solve", "--problem", "orbit-raising", "--n", "25", "--out", out]) == [
+        "orbit_raising",
+        "lobatto_nodes",
+        "solve",
+    ]
+    argv = ["converge", "--problem", "nonlinear-ivp", "--n-min", "6", "--n-max", "6"]
+    assert ran(argv + ["--methods", "new-lobatto", "--out", out]) == [
+        "nonlinear_ivp",
+        "lobatto_nodes",
+        "solve",
+    ]
+    capsys.readouterr()
 
 
 def test_converge_rejects_problem_without_truth():

@@ -63,6 +63,11 @@ class TestBasis:
         with pytest.raises(ValueError, match="0.5"):
             build_basis([-1.0, 0.5, 0.5 + 1e-13, 1.0])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_node_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            build_basis([0.0, bad, 1.0])
+
     def test_kronecker_on_lobatto_grid(self):
         ns = lobatto_nodes(12)
         basis = build_basis(ns.all_nodes)

@@ -374,11 +374,20 @@ def test_grouped_hessian_matches_column_loop(factory, method, monkeypatch):
         {"max_iterations": 0},
         {"kkt_tolerance": float("nan")},
         {"max_iterations": 2.5},
+        {"max_iterations": True},
     ],
 )
 def test_bad_options_rejected(kwargs):
     with pytest.raises(ValueError):
         SolverOptions(**kwargs)
+
+
+def test_numpy_integer_iteration_budget_is_honoured():
+    defn, _ = nonlinear_ivp()
+    t = transcribe(defn, lobatto_nodes(15), Method.NEW_LOBATTO)
+    with pytest.raises(MaxIterationsError) as err:
+        solve(t, SolverOptions(max_iterations=np.int64(3)))
+    assert err.value.report.iterations == 3
 
 
 def test_default_options():

@@ -201,6 +201,16 @@ class TestValidation:
             replace(defn, t0=2.0, tf=0.0)
 
     @pytest.mark.parametrize(
+        "t0,tf", [(0.0, np.inf), (-np.inf, 2.0), (np.nan, 2.0), (0.0, np.nan)]
+    )
+    def test_horizon_must_be_finite(self, t0, tf):
+        defn, _ = nonlinear_ivp()
+        from dataclasses import replace
+
+        with pytest.raises(ValueError, match="tf > t0"):
+            replace(defn, t0=t0, tf=tf)
+
+    @pytest.mark.parametrize(
         "given, missing",
         [
             ("running_cost", "running_cost_gradients"),

@@ -65,6 +65,10 @@ class TestLegendreEval:
             legendre_eval(4, 1.1)
         with pytest.raises(ValueError):
             legendre_eval(2, -1.0 - 1e-9)
+        with pytest.raises(ValueError, match="nan"):
+            legendre_eval(3, np.nan)
+        with pytest.raises(ValueError, match="nan"):
+            legendre_eval(3, np.array([0.0, np.nan]))
 
 
 class TestLobattoEval:
@@ -96,6 +100,12 @@ class TestLobattoEval:
     def test_degree_below_two_rejected(self):
         with pytest.raises(ValueError):
             lobatto_eval(1, 0.0)
+
+    def test_out_of_range_rejected(self):
+        with pytest.raises(ValueError):
+            lobatto_eval(4, 1.1)
+        with pytest.raises(ValueError, match="nan"):
+            lobatto_eval(4, np.nan)
 
 
 class TestLobattoNodes:
