@@ -3,14 +3,19 @@
 Four subcommands: ``nodes`` and ``diffmat`` dump grids and matrices to
 stdout, ``solve`` runs one benchmark to a CSV file, ``converge`` sweeps a
 range of grid sizes and records error norms per method.  All output is CSV
-with a header row, UTF-8, LF line endings, and numbers printed with 17
-significant digits so files round-trip and diff cleanly.
+with a header row, UTF-8 and LF line endings.  Numbers are printed with
+``%.17g``, 17 significant digits, so files round-trip and diff cleanly.  No
+field holds a comma, quote or line break, so none is quoted.
+
+A usage error exits with code 2 and names the flag, e.g.
+``auglobatto solve: error: argument --tol: must lie in (0, 1e-4)`` or
+``argument --max-iter: must be a positive integer``; the ranges are the
+ones ``SolverOptions`` checks.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import sys
 from dataclasses import InitVar, dataclass
 from typing import Optional
@@ -21,8 +26,7 @@ from .discretization import (
     build_dual_D,
     build_new_lobatto_D,
     build_standard_lobatto_D,
-    condition_number,
-    numerical_rank,
+    rank_and_condition,
     verify_definition,
 )
 from .nlpsolve import MaxIterationsError, SingularKktError, SolverOptions, solve
@@ -47,15 +51,16 @@ _MATRICES = {
 _METHODS = [m.value for m in Method]
 
 
-def _fmt(value: float) -> str:
-    """17 significant digits: enough to reproduce any 64-bit float exactly."""
-    return format(float(value), ".17g")
+def _fmt(*values: float) -> str:
+    """The values as comma-separated fields of 17 significant digits: enough
+    to reproduce any 64-bit float exactly.  One ``%`` template formats them
+    all; ``%.17g`` is the C conversion that ``format(x, ".17g")`` makes."""
+    return ",".join(["%.17g"] * len(values)) % values
 
 
-def _write_csv(stream, header, rows) -> None:
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
+def _write_csv(stream, header, lines) -> None:
+    """The header fields, then each line of already joined fields, LF-ended."""
+    stream.write("\n".join([",".join(header), *lines]) + "\n")
 
 
 @dataclass(frozen=True)
@@ -94,24 +99,25 @@ class ConvergenceRecord:
 
 def cmd_nodes(n: int, stream) -> int:
     ns = lobatto_nodes(n)
-    rows = [(tau, _fmt(weight), "false") for tau, weight in zip(ns.collocation, ns.weights)]
-    rows.append((ns.exceptional, "", "true"))
+    rows = [
+        (tau, _fmt(tau, weight) + ",false")
+        for tau, weight in zip(ns.collocation.tolist(), ns.weights.tolist())
+    ]
+    rows.append((ns.exceptional, _fmt(ns.exceptional) + ",,true"))
     rows.sort(key=lambda row: row[0])
-    header = ["tau", "weight", "is_exceptional"]
-    _write_csv(stream, header, [(_fmt(tau), weight, flag) for tau, weight, flag in rows])
+    _write_csv(stream, ["tau", "weight", "is_exceptional"], [line for _, line in rows])
     return 0
 
 
 def cmd_diffmat(n: int, kind: str, check: bool, stream, err_stream) -> int:
     mat, order, expected_rank = _MATRICES[kind](lobatto_nodes(n), n)
     header = [f"c{i}" for i in range(mat.entries.shape[1])]
-    _write_csv(stream, header, ([_fmt(v) for v in row] for row in mat.entries))
+    _write_csv(stream, header, [_fmt(*row) for row in mat.entries.tolist()])
 
     if not check:
         return 0
     residual = verify_definition(mat, order)
-    rank = numerical_rank(mat.entries)
-    cond = condition_number(mat.entries)
+    rank, cond = rank_and_condition(mat.entries)
     print(f"definition residual at order {order}: {residual:.3e}", file=err_stream)
     print(f"numerical rank: {rank} (expected {expected_rank})", file=err_stream)
     print(f"condition number: {cond:.3e}", file=err_stream)
@@ -133,13 +139,12 @@ def cmd_solve(
     sol = assemble_solution(transcript, z, mult, report.final_kkt_norm)
     n_x, n_u = transcript.n_x, transcript.n_u
     rows = []
-    for i, time in enumerate(sol.times):
-        fields = [_fmt(v) for v in sol.states[i]]
+    for i, time in enumerate(sol.times.tolist()):
         if i < transcript.n:
-            fields += [_fmt(v) for v in (*sol.controls[i], *sol.costates[i])]
+            samples = (*sol.states[i], *sol.controls[i], *sol.costates[i])
+            rows.append((time, _fmt(time, *samples)))
         else:  # the augmentation node carries state samples only
-            fields += [""] * (n_u + n_x)
-        rows.append((float(time), fields))
+            rows.append((time, _fmt(time, *sol.states[i]) + "," * (n_u + n_x)))
     rows.sort(key=lambda row: row[0])
 
     header = ["t"] + [
@@ -147,7 +152,7 @@ def cmd_solve(
         for j in range(size)
     ]
     with open(out_path, "w", encoding="utf-8", newline="") as handle:
-        _write_csv(handle, header, ([_fmt(time)] + fields for time, fields in rows))
+        _write_csv(handle, header, [line for _, line in rows])
     return 0
 
 
@@ -208,26 +213,35 @@ def _method_names(text: str) -> list:
     return names
 
 
-def _run_solve(args, error) -> int:
-    try:
-        opts = SolverOptions(kkt_tolerance=args.tol, max_iterations=args.max_iter)
-    except ValueError as exc:
-        error(str(exc))
-    return cmd_solve(args.problem, args.n, args.method, args.out, opts)
+def _solver_option(field: str, parse):
+    """Type of a solver flag: ``parse`` reads the value and ``SolverOptions``
+    checks it.  The message drops the field name that ``SolverOptions`` puts
+    first, as argparse names the flag."""
+
+    def convert(text):
+        value = parse(text)
+        try:
+            SolverOptions(**{field: value})
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc).removeprefix(field + " ")) from None
+        return value
+
+    convert.__name__ = parse.__name__  # argparse's "invalid float value: 'x'"
+    return convert
 
 
 def _run_converge(args, error) -> int:
     if args.n_max < args.n_min:
-        error("--n-max must not be smaller than --n-min")
+        error("argument --n-max: must not be smaller than --n-min")
     records = run_convergence_sweep(args.problem, args.n_min, args.n_max, args.methods)
-    rows = (
-        [str(rec.n), rec.method]
-        + ["" if e is None else _fmt(e) for e in (rec.e_x, rec.e_u, rec.e_lambda)]
-        + ["true" if rec.converged else "false"]
+    lines = [
+        f"{rec.n},{rec.method},{_fmt(rec.e_x, rec.e_u, rec.e_lambda)},true"
+        if rec.converged
+        else f"{rec.n},{rec.method},,,,false"
         for rec in records
-    )
+    ]
     with open(args.out, "w", encoding="utf-8", newline="") as handle:
-        _write_csv(handle, ["n", "method", "E_x", "E_u", "E_lambda", "converged"], rows)
+        _write_csv(handle, ["n", "method", "E_x", "E_u", "E_lambda", "converged"], lines)
     return 0
 
 
@@ -240,7 +254,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_nodes = sub.add_parser("nodes", help="dump collocation nodes and weights")
     p_nodes.add_argument("--n", type=_grid_size, required=True, help="number of collocation nodes")
-    p_nodes.set_defaults(run=lambda args, error: cmd_nodes(args.n, sys.stdout))
+    p_nodes.set_defaults(run=lambda args: cmd_nodes(args.n, sys.stdout))
 
     p_diff = sub.add_parser("diffmat", help="dump a differentiation matrix")
     p_diff.add_argument("--n", type=_grid_size, required=True)
@@ -251,17 +265,31 @@ def _build_parser() -> argparse.ArgumentParser:
         help="verify the definition and report rank and conditioning on stderr",
     )
     p_diff.set_defaults(
-        run=lambda args, error: cmd_diffmat(args.n, args.kind, args.check, sys.stdout, sys.stderr)
+        run=lambda args: cmd_diffmat(args.n, args.kind, args.check, sys.stdout, sys.stderr)
     )
 
     p_solve = sub.add_parser("solve", help="solve one benchmark problem")
     p_solve.add_argument("--problem", choices=list(_PROBLEMS), required=True)
     p_solve.add_argument("--n", type=_grid_size, required=True)
     p_solve.add_argument("--method", choices=_METHODS, default=Method.NEW_LOBATTO.value)
-    p_solve.add_argument("--tol", type=float, default=SolverOptions.kkt_tolerance)
-    p_solve.add_argument("--max-iter", type=int, default=SolverOptions.max_iterations)
+    p_solve.add_argument(
+        "--tol", type=_solver_option("kkt_tolerance", float), default=SolverOptions.kkt_tolerance
+    )
+    p_solve.add_argument(
+        "--max-iter",
+        type=_solver_option("max_iterations", int),
+        default=SolverOptions.max_iterations,
+    )
     p_solve.add_argument("--out", required=True, help="output CSV path")
-    p_solve.set_defaults(run=_run_solve)
+    p_solve.set_defaults(
+        run=lambda args: cmd_solve(
+            args.problem,
+            args.n,
+            args.method,
+            args.out,
+            SolverOptions(kkt_tolerance=args.tol, max_iterations=args.max_iter),
+        )
+    )
 
     p_conv = sub.add_parser("converge", help="error sweep against the analytic solution")
     # Only the IVP has an analytic truth to sweep against.
@@ -275,14 +303,13 @@ def _build_parser() -> argparse.ArgumentParser:
         help="comma-separated subset of: " + ", ".join(_METHODS),
     )
     p_conv.add_argument("--out", required=True, help="output CSV path")
-    p_conv.set_defaults(run=_run_converge)
+    p_conv.set_defaults(run=lambda args: _run_converge(args, p_conv.error))
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    return args.run(args, parser.error)
+    args = _build_parser().parse_args(argv)
+    return args.run(args)
 
 
 if __name__ == "__main__":

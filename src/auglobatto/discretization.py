@@ -210,24 +210,25 @@ def exceptional_column_reference(ns: NodeSet) -> np.ndarray:
     return dvals / value_at_xi
 
 
-def _kept_singular_values(entries: np.ndarray) -> np.ndarray:
-    """Singular values above 1e-10 times the largest, in descending order;
-    empty for an empty or zero matrix."""
+def rank_and_condition(entries: np.ndarray) -> tuple:
+    """Numerical rank and condition number from one SVD.
+
+    The rank counts the singular values above 1e-10 times the largest, and
+    the condition number is the ratio of the largest to the smallest of those
+    counted: (0, inf) for an empty or zero matrix."""
     sigma = np.linalg.svd(entries, compute_uv=False)
     if sigma.size == 0 or sigma[0] == 0.0:
-        return sigma[:0]
-    return sigma[sigma > 1e-10 * sigma[0]]
+        return 0, float("inf")
+    kept = sigma[sigma > 1e-10 * sigma[0]]
+    return int(kept.size), float(kept[0] / kept[-1])
 
 
 def numerical_rank(entries: np.ndarray) -> int:
     """Count of singular values above 1e-10 times the largest."""
-    return int(_kept_singular_values(entries).size)
+    return rank_and_condition(entries)[0]
 
 
 def condition_number(entries: np.ndarray) -> float:
     """Ratio of the largest singular value to the smallest one counted in the
     numerical rank.  Returns inf for a zero matrix."""
-    kept = _kept_singular_values(entries)
-    if kept.size == 0:
-        return float("inf")
-    return float(kept[0] / kept[-1])
+    return rank_and_condition(entries)[1]

@@ -5,6 +5,14 @@ import numpy as np
 import pytest
 
 from auglobatto import cli
+from auglobatto.discretization import (
+    build_dual_D,
+    build_new_lobatto_D,
+    build_standard_lobatto_D,
+    condition_number,
+    numerical_rank,
+)
+from auglobatto.orthopoly import lobatto_nodes
 
 # Closed forms for the five-point grid (n=4): interior collocation nodes at
 # +-1/sqrt(5), weights 1/6 and 5/6, augmentation node exactly zero.
@@ -72,6 +80,7 @@ def test_nodes_rejects_small_n(capsys):
 
 
 CONVERGE = ["converge", "--problem", "nonlinear-ivp", "--out", "never.csv"]
+SOLVE = ["solve", "--problem", "nonlinear-ivp", "--n", "6", "--out", "never.csv"]
 
 
 @pytest.mark.parametrize(
@@ -83,16 +92,88 @@ CONVERGE = ["converge", "--problem", "nonlinear-ivp", "--out", "never.csv"]
         (CONVERGE + ["--n-min", "8", "--n-max", "7", "--methods", "new-lobatto"], "--n-max"),
         (CONVERGE + ["--n-min", "6", "--n-max", "8", "--methods", ","], "--methods"),
         (CONVERGE + ["--n-min", "6", "--n-max", "8", "--methods", "new-lobatto,bogus"], "--methods"),
+        (SOLVE + ["--tol", "1"], "--tol"),
+        (SOLVE + ["--max-iter", "0"], "--max-iter"),
     ],
-    ids=["diffmat-n", "solve-n", "n-min", "n-max-below-n-min", "no-method", "unknown-method"],
+    ids=[
+        "diffmat-n",
+        "solve-n",
+        "n-min",
+        "n-max-below-n-min",
+        "no-method",
+        "unknown-method",
+        "tol",
+        "max-iter",
+    ],
 )
 def test_usage_error_exits_2_and_names_the_flag(argv, flag, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     with pytest.raises(SystemExit) as err:
         cli.main(argv)
     assert err.value.code == 2
-    assert flag in capsys.readouterr().err
+    assert f"auglobatto {argv[0]}: error: argument {flag}: " in capsys.readouterr().err
     assert not (tmp_path / "never.csv").exists()
+
+
+def test_solver_flag_errors_give_the_solver_options_range(capsys):
+    for flag, value, message in [
+        ("--tol", "1", "must lie in (0, 1e-4)"),
+        ("--max-iter", "0", "must be a positive integer"),
+        ("--max-iter", "2.5", "invalid int value: '2.5'"),
+    ]:
+        with pytest.raises(SystemExit):
+            cli.main(SOLVE + [flag, value])
+        assert capsys.readouterr().err.endswith(f"error: argument {flag}: {message}\n")
+
+
+def csv_module_recipe(header, rows):
+    """The CSV as the csv module writes it, each number as format(v, ".17g")."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(
+        [v if isinstance(v, str) else format(float(v), ".17g") for v in row] for row in rows
+    )
+    return out.getvalue()
+
+
+@pytest.mark.parametrize("kind", ["nodes", "new", "standard", "dual"])
+def test_tables_match_the_csv_module_byte_for_byte(kind):
+    builders = {
+        "new": build_new_lobatto_D,
+        "standard": build_standard_lobatto_D,
+        "dual": lambda ns: build_dual_D(ns, build_new_lobatto_D(ns)),
+    }
+    for n in range(3, 51):
+        ns = lobatto_nodes(n)
+        out = io.StringIO()
+        if kind == "nodes":
+            rows = [(tau, w, "false") for tau, w in zip(ns.collocation, ns.weights)]
+            rows = sorted(rows + [(ns.exceptional, "", "true")], key=lambda row: row[0])
+            expected = csv_module_recipe(["tau", "weight", "is_exceptional"], rows)
+            assert cli.cmd_nodes(n, out) == 0
+        else:
+            entries = builders[kind](ns).entries
+            expected = csv_module_recipe([f"c{i}" for i in range(entries.shape[1])], entries)
+            assert cli.cmd_diffmat(n, kind, False, out, io.StringIO()) == 0
+        assert out.getvalue() == expected, n
+
+
+def test_fmt_is_format_17g_on_edge_values():
+    values = [
+        -0.0,
+        5e-324,
+        1.7976931348623157e308,
+        float("nan"),
+        float("inf"),
+        float("-inf"),
+        1.0,
+        np.float64(0.1),
+    ]
+    assert cli._fmt(*values) == ",".join(format(float(v), ".17g") for v in values)
+    assert cli._fmt(*np.array(values).tolist()) == cli._fmt(*values)
+    for value in values:
+        assert cli._fmt(value) == format(float(value), ".17g")
 
 
 def test_nodes_output_is_deterministic(capsys):
@@ -125,6 +206,27 @@ def test_diffmat_check_passes(capsys, kind):
     assert "condition number" in err
 
 
+@pytest.mark.parametrize("kind", ["new", "standard", "dual"])
+def test_diffmat_check_takes_one_svd(kind, monkeypatch):
+    svd = np.linalg.svd
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].shape)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    err = io.StringIO()
+    assert cli.cmd_diffmat(10, kind, True, io.StringIO(), err) == 0
+    assert len(calls) == 1
+    monkeypatch.undo()
+
+    mat, _, expected_rank = cli._MATRICES[kind](lobatto_nodes(10), 10)
+    lines = err.getvalue().splitlines()
+    assert lines[1] == f"numerical rank: {numerical_rank(mat.entries)} (expected {expected_rank})"
+    assert lines[2] == f"condition number: {condition_number(mat.entries):.3e}"
+
+
 def test_dual_check_passes_up_to_n80():
     # The dual matrix's definition residual is sensitive to node accuracy:
     # nodes 9e-16 off the roots put it at 1.1e-9..1.9e-9 for N=62, 66-72
@@ -138,9 +240,6 @@ def test_dual_check_passes_up_to_n80():
 
 
 def test_diffmat_values_round_trip(capsys):
-    from auglobatto.discretization import build_new_lobatto_D
-    from auglobatto.orthopoly import lobatto_nodes
-
     _, out, _ = run(capsys, "diffmat", "--n", "8")
     _, body = parse(out)
     dumped = np.array([[float(v) for v in row] for row in body])
