@@ -1,8 +1,10 @@
 """Fixed-time optimal control problem model and two benchmark instances.
 
-A problem is a bundle of callables over (t, x, u): dynamics with Jacobians,
-running cost with gradients, endpoint costs with gradients, and equality
-boundary maps at each end with Jacobians.  Everything is smooth and
+A problem is a bundle of callables: dynamics with Jacobians and running
+cost with gradients over (t, x, u), and one endpoint cost and one equality
+boundary map over both end states (x0, xf), each with its derivatives.
+This is the Bolza form: the endpoint function phi(x0, xf) + nu^T psi(x0, xf)
+gives both endpoint costate conditions.  Everything is smooth and
 unconstrained in between; final time is fixed.
 
 The two stock instances are a five-state orbit raising problem (maximize the
@@ -30,20 +32,12 @@ def _zero_cost_gradients(t, x, u):
     return np.zeros(np.shape(x)), np.zeros(np.shape(u))
 
 
-def _zero_endpoint_cost(t, x):
+def _zero_endpoint_cost(x0, xf):
     return 0.0
 
 
-def _zero_state_gradient(t, x):
-    return np.zeros(np.shape(x))
-
-
-def _no_boundary(t, x):
-    return np.zeros(0)
-
-
-def _no_boundary_jacobian(t, x):
-    return np.zeros((0, np.size(x)))
+def _zero_endpoint_cost_gradients(x0, xf):
+    return np.zeros(np.shape(x0)), np.zeros(np.shape(xf))
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -61,29 +55,31 @@ class OcpDefinition:
     ``(..., n_u)``; the Jacobians are ``(..., n_x, n_x)`` and
     ``(..., n_x, n_u)``, the running cost ``(...)``.  Written with
     ``x[..., i]`` indexing they also take one node (scalar ``t``, 1-D ``x``
-    and ``u``).  Endpoint costs and boundary maps take one state; a boundary
-    map returns a scalar or a vector.  Costs default to zero and the final
-    boundary to none; a cost and its gradient are given together or not at
-    all, else ``ValueError`` names the missing one.  No dimension is
-    declared: the transcript reads ``n_x`` and ``n_u`` off the guess and the
-    boundary row counts off the boundary maps.
+    and ``u``).
+
+    The endpoint callbacks take both end states ``(x0, xf)`` and no time.
+    ``boundary`` returns a scalar or a vector of ``n_boundary`` rows (by
+    convention the rows that read ``x0`` first) and ``boundary_jacobians``
+    the pair ``(J0, Jf)``, each ``(n_boundary, n_x)``; a row may read both
+    ends.  ``endpoint_cost`` returns a scalar and
+    ``endpoint_cost_gradients`` the pair ``(g0, gf)``, each ``(n_x,)``.
+    Costs default to zero; a cost and its gradient are given together or
+    not at all, else ``ValueError`` names the missing one.  No dimension is
+    declared: the transcript reads ``n_x`` and ``n_u`` off the guess and
+    ``n_boundary`` off the boundary map.
     """
 
     t0: float
     tf: float
     dynamics: Callable[[Vector, Vector, Vector], Vector]
     dynamics_jacobians: Callable[[Vector, Vector, Vector], tuple]
-    boundary_initial: Callable[[float, Vector], Vector]
-    boundary_initial_jacobian: Callable[[float, Vector], Vector]
+    boundary: Callable[[Vector, Vector], Vector]
+    boundary_jacobians: Callable[[Vector, Vector], tuple]
     initial_guess: Callable[[Vector], tuple]
     running_cost: Callable[[Vector, Vector, Vector], Vector] = _zero_cost
     running_cost_gradients: Callable[[Vector, Vector, Vector], tuple] = _zero_cost_gradients
-    endpoint_cost_initial: Callable[[float, Vector], float] = _zero_endpoint_cost
-    endpoint_cost_initial_gradient: Callable[[float, Vector], Vector] = _zero_state_gradient
-    endpoint_cost_final: Callable[[float, Vector], float] = _zero_endpoint_cost
-    endpoint_cost_final_gradient: Callable[[float, Vector], Vector] = _zero_state_gradient
-    boundary_final: Callable[[float, Vector], Vector] = _no_boundary
-    boundary_final_jacobian: Callable[[float, Vector], Vector] = _no_boundary_jacobian
+    endpoint_cost: Callable[[Vector, Vector], float] = _zero_endpoint_cost
+    endpoint_cost_gradients: Callable[[Vector, Vector], tuple] = _zero_endpoint_cost_gradients
 
     def __post_init__(self):
         if not (np.isfinite(self.t0) and np.isfinite(self.tf) and self.tf > self.t0):
@@ -93,8 +89,7 @@ class OcpDefinition:
         defaults = {f.name: f.default for f in fields(self)}
         for cost, gradient in (
             ("running_cost", "running_cost_gradients"),
-            ("endpoint_cost_initial", "endpoint_cost_initial_gradient"),
-            ("endpoint_cost_final", "endpoint_cost_final_gradient"),
+            ("endpoint_cost", "endpoint_cost_gradients"),
         ):
             has_cost = getattr(self, cost) is not defaults[cost]
             if has_cost != (getattr(self, gradient) is not defaults[gradient]):
@@ -186,41 +181,32 @@ def orbit_raising() -> OcpDefinition:
     terminal equalities v_r = 0 and v_theta = sqrt(mu / r).
     """
 
-    def boundary_initial(t, x):
-        return x - _ORBIT_X0
+    def boundary(x0, xf):
+        r, _, vr, vt, _ = xf
+        return np.concatenate([x0 - _ORBIT_X0, [vr, vt - np.sqrt(_ORBIT_MU / r)]])
 
-    def boundary_initial_jacobian(t, x):
-        return np.eye(5)
+    def boundary_jacobians(x0, xf):
+        Jf = np.zeros((7, 5))
+        Jf[5, 2] = 1.0
+        Jf[6, 0] = 0.5 * np.sqrt(_ORBIT_MU) * xf[0] ** -1.5
+        Jf[6, 3] = 1.0
+        return np.eye(7, 5), Jf
 
-    def boundary_final(t, x):
-        r, _, vr, vt, _ = x
-        return np.array([vr, vt - np.sqrt(_ORBIT_MU / r)])
+    def final_cost(x0, xf):
+        return -xf[0]
 
-    def boundary_final_jacobian(t, x):
-        r = x[0]
-        J = np.zeros((2, 5))
-        J[0, 2] = 1.0
-        J[1, 0] = 0.5 * np.sqrt(_ORBIT_MU) * r**-1.5
-        J[1, 3] = 1.0
-        return J
-
-    def final_cost(t, x):
-        return -x[0]
-
-    def final_cost_gradient(t, x):
-        return np.array([-1.0, 0.0, 0.0, 0.0, 0.0])
+    def final_cost_gradients(x0, xf):
+        return np.zeros(5), np.array([-1.0, 0.0, 0.0, 0.0, 0.0])
 
     return OcpDefinition(
         t0=0.0,
         tf=_ORBIT_TF,
         dynamics=_orbit_dynamics,
         dynamics_jacobians=_orbit_jacobians,
-        endpoint_cost_final=final_cost,
-        endpoint_cost_final_gradient=final_cost_gradient,
-        boundary_initial=boundary_initial,
-        boundary_initial_jacobian=boundary_initial_jacobian,
-        boundary_final=boundary_final,
-        boundary_final_jacobian=boundary_final_jacobian,
+        endpoint_cost=final_cost,
+        endpoint_cost_gradients=final_cost_gradients,
+        boundary=boundary,
+        boundary_jacobians=boundary_jacobians,
         initial_guess=_orbit_guess,
     )
 
@@ -260,10 +246,10 @@ def nonlinear_ivp() -> tuple[OcpDefinition, AnalyticTruth]:
         tf=2.0,
         dynamics=_ivp_dynamics,
         dynamics_jacobians=_ivp_jacobians,
-        endpoint_cost_final=lambda t, x: -x[0],
-        endpoint_cost_final_gradient=lambda t, x: np.array([-1.0]),
-        boundary_initial=lambda t, x: x - 1.0,
-        boundary_initial_jacobian=lambda t, x: np.eye(1),
+        endpoint_cost=lambda x0, xf: -xf[0],
+        endpoint_cost_gradients=lambda x0, xf: (np.zeros(1), np.array([-1.0])),
+        boundary=lambda x0, xf: x0 - 1.0,
+        boundary_jacobians=lambda x0, xf: (np.eye(1), np.zeros((1, 1))),
         initial_guess=guess,
     )
 

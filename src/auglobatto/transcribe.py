@@ -5,8 +5,9 @@ finite-dimensional equality-constrained program: decision variables are the
 state samples (at all N+1 grid points for the augmented method, at the N
 collocation points for the square one) and the control samples at the N
 collocation points.  The defect constraints force the interpolating
-polynomial's derivative to match the dynamics at every collocation point;
-the objective adds the endpoint costs to a quadrature of the running cost.
+polynomial's derivative to match the dynamics at every collocation point,
+and the boundary rows hold the boundary map of the two end states; the
+objective adds the endpoint cost to a quadrature of the running cost.
 
 ``extract_costates`` rescales the defect multipliers into costate samples,
 and ``kkt_residuals`` evaluates the four first-order optimality residuals of
@@ -35,15 +36,17 @@ class Transcript:
     """Finite-dimensional image of one problem on one grid.
 
     ``n_x`` and ``n_u`` are the column counts of ``initial_guess`` on the
-    collocation times, ``n_phi0`` and ``n_phif`` the lengths of the boundary
-    maps at its ends.  Construction reads them first, then calls every other
+    state times, ``n_boundary`` the length of the boundary map at the ends
+    of that guess.  Construction reads them first, then calls every other
     callback once and raises ValueError naming any whose shape disagrees.
 
     Layout of the decision vector ``z``: state samples node-major first
     (``n_state_nodes`` blocks of ``n_x``), then control samples node-major
     (``n`` blocks of ``n_u``).  Constraint vector: defect rows node-major
-    (``n`` blocks of ``n_x``), then the initial boundary rows, then the
-    final boundary rows.  All evaluation methods are pure.
+    (``n`` blocks of ``n_x``), then the ``n_boundary`` boundary rows.  The
+    ends are state nodes 0 and ``n - 1``; each boundary call reads both and
+    each endpoint-cost call gives both gradients.  All evaluation methods
+    are pure.
 
     Every nonlinear term reads one collocation node, so the per-node
     dynamics Jacobians and the Lagrangian Hessian fill ``n_x + n_u``-square
@@ -90,7 +93,7 @@ class Transcript:
         self.n_defect = self.n * self.n_x
         self.n_state_vars = self.n_state_nodes * self.n_x
         self.n_z = self.n_state_vars + self.n * self.n_u
-        self.n_constraints = self.n_defect + self.n_phi0 + self.n_phif
+        self.n_constraints = self.n_defect + self.n_boundary
         states = np.arange(self.n_defect).reshape(self.n, self.n_x)
         controls = np.arange(self.n_state_vars, self.n_z).reshape(self.n, self.n_u)
         self._nodes = np.hstack([states, controls])
@@ -123,17 +126,15 @@ class Transcript:
         return np.concatenate([np.ravel(states), np.ravel(controls)])
 
     def initial_guess_vector(self) -> np.ndarray:
-        states, _ = self.ocp.initial_guess(self.state_times)
-        _, controls = self.ocp.initial_guess(self.collocation_times)
-        return self.pack(states, controls)
+        states, controls = self.ocp.initial_guess(self.state_times)
+        return self.pack(states, controls[: self.n])
 
     # -- NLP callbacks -----------------------------------------------------
 
     def objective(self, z) -> float:
         states, controls = self.unpack(z)
         ocp = self.ocp
-        total = ocp.endpoint_cost_initial(ocp.t0, states[0])
-        total += ocp.endpoint_cost_final(ocp.tf, states[self.n - 1])
+        total = ocp.endpoint_cost(states[0], states[self.n - 1])
         running = self.ns.weights @ ocp.running_cost(
             self.collocation_times, states[: self.n], controls
         )
@@ -147,8 +148,9 @@ class Transcript:
         gradient = np.zeros(self.n_z)
         g_states = gradient[: self.n_state_vars].reshape(self.n_state_nodes, self.n_x)
         g_states[:n] = self._quadrature * hx
-        g_states[0] += ocp.endpoint_cost_initial_gradient(ocp.t0, states[0])
-        g_states[n - 1] += ocp.endpoint_cost_final_gradient(ocp.tf, states[n - 1])
+        g0, gf = ocp.endpoint_cost_gradients(states[0], states[n - 1])
+        g_states[0] += g0
+        g_states[n - 1] += gf
         gradient[self.n_state_vars :] = (self._quadrature * hu).ravel()
         return gradient
 
@@ -158,9 +160,7 @@ class Transcript:
         values = np.empty(self.n_constraints)
         rhs = ocp.dynamics(self.collocation_times, states[: self.n], controls)
         values[: self.n_defect] = (rhs - (self.diff.entries @ states) / self.half_dt).ravel()
-        row0 = self.n_defect + self.n_phi0
-        values[self.n_defect : row0] = ocp.boundary_initial(ocp.t0, states[0])
-        values[row0:] = ocp.boundary_final(ocp.tf, states[self.n - 1])
+        values[self.n_defect :] = ocp.boundary(states[0], states[self.n - 1])
         return values
 
     def jacobian(self, z) -> np.ndarray:
@@ -171,11 +171,9 @@ class Transcript:
         flat = J.reshape(-1)
         flat[self._blocks[:, : self.n_x, : self.n_x]] += A
         flat[self._blocks[:, : self.n_x, self.n_x :]] = B
-        row0 = self.n_defect + self.n_phi0
-        J[self.n_defect : row0, : self.n_x] = ocp.boundary_initial_jacobian(ocp.t0, states[0])
-        J[row0:, self.n_defect - self.n_x : self.n_defect] = ocp.boundary_final_jacobian(
-            ocp.tf, states[self.n - 1]
-        )
+        J0, Jf = ocp.boundary_jacobians(states[0], states[self.n - 1])
+        J[self.n_defect :, : self.n_x] = J0
+        J[self.n_defect :, self.n_defect - self.n_x : self.n_defect] = Jf
         return J
 
     def hessian(self, z, mult, gradient) -> np.ndarray:
@@ -200,48 +198,40 @@ class Transcript:
     # -- construction checks ----------------------------------------------
 
     def _read_callbacks(self):
-        """Take the dimensions from the guess on the collocation times and
-        from the boundary maps at its ends, then call every other node-array
-        callback once on the guess and every other endpoint callback once on
-        its end of it."""
+        """Take the dimensions from the guess on the state times and from
+        the boundary map at the ends of it, then call every other node-array
+        callback once on the guess's collocation rows and every other
+        endpoint callback once on its ends."""
         ocp = self.ocp
-        n, tc = self.n, self.collocation_times
-        guess = ocp.initial_guess(tc)
+        n, rows, tc = self.n, self.n_state_nodes, self.collocation_times
+        guess = ocp.initial_guess(self.state_times)
         shapes = tuple(np.shape(a) for a in guess)
-        if len(shapes) != 2 or any(len(s) != 2 or s[0] != n or s[1] < 1 for s in shapes):
+        if len(shapes) != 2 or any(len(s) != 2 or s[0] != rows or s[1] < 1 for s in shapes):
             raise ValueError(
                 f"initial_guess returned shapes {shapes}, "
-                f"expected two arrays of {n} rows and at least one column"
+                f"expected two arrays of {rows} rows and at least one column"
             )
-        x, u = guess
+        x, u = guess[0][:n], guess[1][:n]
         x0, xf = x[0], x[n - 1]
         self.n_x, self.n_u = n_x, n_u = x.shape[1], u.shape[1]
-        self.n_phi0 = _boundary_rows("boundary_initial", ocp.boundary_initial(ocp.t0, x0))
-        self.n_phif = _boundary_rows("boundary_final", ocp.boundary_final(ocp.tf, xf))
+        boundary = ocp.boundary(x0, xf)
+        if np.ndim(boundary) > 1:
+            raise ValueError(f"boundary returned shape {np.shape(boundary)}, expected a vector")
+        self.n_boundary = n_b = int(np.size(boundary))
         _check_shapes("dynamics", (ocp.dynamics(tc, x, u),), (n, n_x))
         jacobians = ocp.dynamics_jacobians(tc, x, u)
         _check_shapes("dynamics_jacobians", jacobians, (n, n_x, n_x), (n, n_x, n_u))
         _check_shapes("running_cost", (ocp.running_cost(tc, x, u),), (n,))
         gradients = ocp.running_cost_gradients(tc, x, u)
         _check_shapes("running_cost_gradients", gradients, (n, n_x), (n, n_u))
-        jac0 = ocp.boundary_initial_jacobian(ocp.t0, x0)
-        _check_shapes("boundary_initial_jacobian", (jac0,), (self.n_phi0, n_x))
-        jacf = ocp.boundary_final_jacobian(ocp.tf, xf)
-        _check_shapes("boundary_final_jacobian", (jacf,), (self.n_phif, n_x))
-        grad0 = ocp.endpoint_cost_initial_gradient(ocp.t0, x0)
-        _check_shapes("endpoint_cost_initial_gradient", (grad0,), (n_x,))
-        gradf = ocp.endpoint_cost_final_gradient(ocp.tf, xf)
-        _check_shapes("endpoint_cost_final_gradient", (gradf,), (n_x,))
-
-
-def _boundary_rows(name, value):
-    if np.ndim(value) > 1:
-        raise ValueError(f"{name} returned shape {np.shape(value)}, expected a vector")
-    return int(np.size(value))
+        jacobians = ocp.boundary_jacobians(x0, xf)
+        _check_shapes("boundary_jacobians", jacobians, (n_b, n_x), (n_b, n_x))
+        gradients = ocp.endpoint_cost_gradients(x0, xf)
+        _check_shapes("endpoint_cost_gradients", gradients, (n_x,), (n_x,))
 
 
 def _check_shapes(name, arrays, *expected):
-    shapes = tuple(np.shape(a) for a in arrays)
+    shapes = tuple(np.shape(a) for a in arrays) if np.iterable(arrays) else np.shape(arrays)
     if shapes != expected:
         raise ValueError(f"{name} returned shapes {shapes}, expected {expected}")
 
@@ -258,14 +248,15 @@ class Solution:
     ``times`` lists the state sample times in internal order, which puts the
     extra near-midpoint sample last for the augmented method; consumers that
     want chronological output sort by time.  Costates and controls live at
-    the N collocation times only.
+    the N collocation times only.  ``boundary_multipliers`` is the one
+    multiplier vector nu of the boundary rows, in the boundary map's order.
     """
 
     times: np.ndarray
     states: np.ndarray
     controls: np.ndarray
     costates: np.ndarray
-    boundary_multipliers: tuple
+    boundary_multipliers: np.ndarray
     kkt_residual: float
 
 
@@ -291,14 +282,12 @@ def assemble_solution(
 ) -> Solution:
     states, controls = t.unpack(z)
     raw = np.asarray(multipliers, dtype=float)
-    nu0 = raw[t.n_defect : t.n_defect + t.n_phi0].copy()
-    nuf = raw[t.n_defect + t.n_phi0 :].copy()
     return Solution(
         times=t.state_times.copy(),
         states=states.copy(),
         controls=controls.copy(),
         costates=extract_costates(t, raw),
-        boundary_multipliers=(nu0, nuf),
+        boundary_multipliers=raw[t.n_defect :].copy(),
         kkt_residual=float(kkt_residual),
     )
 
@@ -333,9 +322,11 @@ def kkt_residuals(
 
     The four residuals are, node by node: the weighted state-equation
     defect; the adjoint equation driven by the dual matrix with the endpoint
-    costate jumps; the weighted combination of costates against the extra
-    sample's matrix column, which must vanish for the costates to stay one
-    degree below the state polynomial; and control stationarity.
+    costate jumps, ``g0 + J0^T nu`` at node 0 and ``gf + Jf^T nu`` at node
+    N-1, from the one endpoint function phi + nu^T psi of both ends; the
+    weighted combination of costates against the extra sample's matrix
+    column, which must vanish for the costates to stay one degree below the
+    state polynomial; and control stationarity.
     """
     if t.method is not Method.NEW_LOBATTO:
         raise ValueError("residual audit is defined for the augmented method")
@@ -349,7 +340,7 @@ def kkt_residuals(
     states = sol.states
     controls = sol.controls
     lam = sol.costates
-    nu0, nuf = sol.boundary_multipliers
+    nu = sol.boundary_multipliers
 
     tc = t.collocation_times
     f_all = ocp.dynamics(tc, states[:n], controls)
@@ -365,12 +356,10 @@ def kkt_residuals(
 
     # (b) adjoint equation with the endpoint jumps on the right-hand side.
     adjoint = grad_x + w[:, None] * (Ddual.entries @ lam)
-    adjoint[0] += np.asarray(
-        ocp.endpoint_cost_initial_gradient(ocp.t0, states[0])
-    ) + np.atleast_2d(ocp.boundary_initial_jacobian(ocp.t0, states[0])).T @ nu0
-    adjoint[n - 1] += np.asarray(
-        ocp.endpoint_cost_final_gradient(ocp.tf, states[n - 1])
-    ) + np.atleast_2d(ocp.boundary_final_jacobian(ocp.tf, states[n - 1])).T @ nuf
+    g0, gf = ocp.endpoint_cost_gradients(states[0], states[n - 1])
+    J0, Jf = ocp.boundary_jacobians(states[0], states[n - 1])
+    adjoint[0] += g0 + J0.T @ nu
+    adjoint[n - 1] += gf + Jf.T @ nu
     adjoint[n - 1] -= lam[n - 1]
     adjoint[0] += lam[0]
     res_adjoint = np.max(np.abs(adjoint))

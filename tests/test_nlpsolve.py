@@ -637,8 +637,8 @@ def ivp_with_initial_rows(*targets):
     targets = np.array(targets)
     return replace(
         defn,
-        boundary_initial=lambda t, x: x[0] - targets,
-        boundary_initial_jacobian=lambda t, x: np.ones((targets.size, 1)),
+        boundary=lambda x0, xf: x0[0] - targets,
+        boundary_jacobians=lambda x0, xf: (np.ones((targets.size, 1)), np.zeros((targets.size, 1))),
     )
 
 
@@ -666,10 +666,15 @@ def test_repeated_initial_row_converges_on_the_augmented_method(n):
 def test_orbit_with_a_redundant_radius_row_converges(n):
     # r(0) = 1 once more, after the five initial rows.
     orbit = orbit_raising()
+
+    def jacobians(x0, xf):
+        J0, Jf = orbit.boundary_jacobians(x0, xf)
+        return np.insert(J0, 5, np.eye(5)[0], axis=0), np.insert(Jf, 5, 0.0, axis=0)
+
     redundant = replace(
         orbit,
-        boundary_initial=lambda t, x: np.append(orbit.boundary_initial(t, x), x[0] - 1.0),
-        boundary_initial_jacobian=lambda t, x: np.vstack([np.eye(5), np.eye(5)[:1]]),
+        boundary=lambda x0, xf: np.insert(orbit.boundary(x0, xf), 5, x0[0] - 1.0),
+        boundary_jacobians=jacobians,
     )
     t = transcribe(redundant, lobatto_nodes(n), Method.NEW_LOBATTO)
     z, _, report = solve(t)
@@ -688,8 +693,8 @@ def test_unreachable_final_state_stalls_early():
     defn, _ = nonlinear_ivp()
     unreachable = replace(
         defn,
-        boundary_final=lambda t, x: x - 5.0,
-        boundary_final_jacobian=lambda t, x: np.eye(1),
+        boundary=lambda x0, xf: np.concatenate([x0 - 1.0, xf - 5.0]),
+        boundary_jacobians=lambda x0, xf: (np.eye(2, 1), np.eye(2, 1, -1)),
     )
     t = transcribe(unreachable, lobatto_nodes(10), Method.NEW_LOBATTO)
     with pytest.raises(MaxIterationsError) as err:

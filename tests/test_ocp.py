@@ -41,20 +41,19 @@ def check_jacobians(defn: OcpDefinition, rng):
         assert np.max(np.abs(hx - hx_fd)) < 1e-5
         assert np.max(np.abs(hu - hu_fd)) < 1e-5
 
-        g0 = defn.endpoint_cost_initial_gradient(defn.t0, x)
-        g0_fd = central_diff_jacobian(lambda xx: defn.endpoint_cost_initial(defn.t0, xx), x)[0]
-        gf = defn.endpoint_cost_final_gradient(defn.tf, x)
-        gf_fd = central_diff_jacobian(lambda xx: defn.endpoint_cost_final(defn.tf, xx), x)[0]
+        # The endpoint callbacks read two end states: x and a second point.
+        xf = x + 0.1 * rng.standard_normal(x.shape)
+        g0, gf = defn.endpoint_cost_gradients(x, xf)
+        g0_fd = central_diff_jacobian(lambda xx: defn.endpoint_cost(xx, xf), x)[0]
+        gf_fd = central_diff_jacobian(lambda xx: defn.endpoint_cost(x, xx), xf)[0]
         assert np.max(np.abs(g0 - g0_fd)) < 1e-5
         assert np.max(np.abs(gf - gf_fd)) < 1e-5
 
-        J0 = defn.boundary_initial_jacobian(defn.t0, x)
-        J0_fd = central_diff_jacobian(lambda xx: defn.boundary_initial(defn.t0, xx), x)
+        J0, Jf = defn.boundary_jacobians(x, xf)
+        J0_fd = central_diff_jacobian(lambda xx: defn.boundary(xx, xf), x)
+        Jf_fd = central_diff_jacobian(lambda xx: defn.boundary(x, xx), xf)
         assert np.max(np.abs(J0 - J0_fd)) < 1e-5
-        if np.size(defn.boundary_final(defn.tf, x)):
-            Jf = defn.boundary_final_jacobian(defn.tf, x)
-            Jf_fd = central_diff_jacobian(lambda xx: defn.boundary_final(defn.tf, xx), x)
-            assert np.max(np.abs(Jf - Jf_fd) / (1.0 + np.abs(Jf_fd))) < 1e-5
+        assert np.max(np.abs(Jf - Jf_fd) / (1.0 + np.abs(Jf_fd))) < 1e-5
 
 
 class TestOrbitRaising:
@@ -66,8 +65,12 @@ class TestOrbitRaising:
         assert (x.shape, u.shape) == ((3, 5), (3, 1))
         assert self.defn.t0 == 0.0
         assert self.defn.tf == 3.32
-        assert self.defn.boundary_initial(0.0, x[0]).shape == (5,)
-        assert self.defn.boundary_final(3.32, x[0]).shape == (2,)
+        # Five initial rows, then two final rows.
+        assert self.defn.boundary(x[0], x[1]).shape == (7,)
+        J0, Jf = self.defn.boundary_jacobians(x[0], x[1])
+        assert J0.shape == Jf.shape == (7, 5)
+        np.testing.assert_array_equal(J0[5:], 0.0)
+        np.testing.assert_array_equal(Jf[:5], 0.0)
 
     def test_dynamics_at_departure(self):
         x0 = np.array([1.0, 0.0, 0.0, 1.0, 1.0])
@@ -78,7 +81,7 @@ class TestOrbitRaising:
 
     def test_initial_boundary_zero_at_start(self):
         x0 = np.array([1.0, 0.0, 0.0, 1.0, 1.0])
-        np.testing.assert_array_equal(self.defn.boundary_initial(0.0, x0), 0.0)
+        np.testing.assert_array_equal(self.defn.boundary(x0, x0)[:5], 0.0)
 
     def test_mass_row_of_jacobian_vanishes(self):
         x = np.array([1.2, 0.8, 0.1, 0.9, 0.9])
@@ -90,12 +93,12 @@ class TestOrbitRaising:
         # A circular orbit at radius 4 has speed 1/2 with mu = 1.
         x = np.array([4.0, 1.0, 0.0, 0.5, 0.8])
         np.testing.assert_allclose(
-            self.defn.boundary_final(3.32, x), 0.0, atol=1e-15
+            self.defn.boundary(x, x)[5:], 0.0, atol=1e-15
         )
 
     def test_final_cost_is_negative_radius(self):
         x = np.array([1.53, 0.0, 0.0, 0.8, 0.75])
-        assert self.defn.endpoint_cost_final(3.32, x) == -1.53
+        assert self.defn.endpoint_cost(np.ones(5), x) == -1.53
 
     def test_jacobians_match_finite_differences(self):
         check_jacobians(self.defn, np.random.default_rng(42))
@@ -119,7 +122,7 @@ class TestNonlinearIvp:
         x, u = self.defn.initial_guess(np.zeros(3))
         assert x.shape == u.shape == (3, 1)
         assert (self.defn.t0, self.defn.tf) == (0.0, 2.0)
-        assert self.defn.boundary_final(2.0, x[0]).shape == (0,)
+        assert self.defn.boundary(x[0], x[1]).shape == (1,)
 
     def test_truth_initial_values(self):
         assert self.truth.state_fn(0.0) == pytest.approx(1.0, abs=1e-15)
@@ -154,8 +157,9 @@ class TestNonlinearIvp:
             assert abs(lam * B[0, 0]) < 1e-9
 
     def test_boundary_residual(self):
-        assert self.defn.boundary_initial(0.0, np.array([1.0]))[0] == 0.0
-        assert self.defn.boundary_final(2.0, np.array([1.0])).shape == (0,)
+        # One initial row, and no final row: x(2) only enters the cost.
+        assert self.defn.boundary(np.array([1.0]), np.array([0.3]))[0] == 0.0
+        assert self.defn.boundary(np.array([1.0]), np.array([0.3])).shape == (1,)
 
     def test_guess_is_constant(self):
         x, u = self.defn.initial_guess(1.3)
@@ -215,10 +219,8 @@ class TestValidation:
         [
             ("running_cost", "running_cost_gradients"),
             ("running_cost_gradients", "running_cost"),
-            ("endpoint_cost_initial", "endpoint_cost_initial_gradient"),
-            ("endpoint_cost_initial_gradient", "endpoint_cost_initial"),
-            ("endpoint_cost_final", "endpoint_cost_final_gradient"),
-            ("endpoint_cost_final_gradient", "endpoint_cost_final"),
+            ("endpoint_cost", "endpoint_cost_gradients"),
+            ("endpoint_cost_gradients", "endpoint_cost"),
         ],
     )
     def test_cost_and_gradient_come_together(self, given, missing):
@@ -229,8 +231,6 @@ class TestValidation:
         kwargs.update(
             running_cost=lambda t, x, u: 0.5 * u[..., 0] ** 2,
             running_cost_gradients=lambda t, x, u: (np.zeros(np.shape(x)), u),
-            endpoint_cost_initial=lambda t, x: x[0],
-            endpoint_cost_initial_gradient=lambda t, x: np.ones(1),
         )
         OcpDefinition(**kwargs)
         del kwargs[missing]

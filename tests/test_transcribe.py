@@ -2,12 +2,14 @@ import numpy as np
 import pytest
 
 from auglobatto.discretization import build_dual_D, build_new_lobatto_D, numerical_rank
+from auglobatto.nlpsolve import solve
 from auglobatto.ocp import OcpDefinition, nonlinear_ivp, orbit_raising
 from auglobatto.orthopoly import legendre_eval, lobatto_nodes
 from auglobatto.transcribe import (
     Method,
     Solution,
     Transcript,
+    assemble_solution,
     costate_leading_coefficient,
     extract_costates,
     kkt_residuals,
@@ -36,8 +38,8 @@ def constant_problem(n_x=2, value=0.0):
         ),
         running_cost=lambda t, x, u: np.ones(np.shape(t)),
         running_cost_gradients=lambda t, x, u: (np.zeros(np.shape(x)), np.zeros(np.shape(u))),
-        boundary_initial=lambda t, x: x - 1.0,
-        boundary_initial_jacobian=lambda t, x: np.eye(n_x),
+        boundary=lambda x0, xf: x0 - 1.0,
+        boundary_jacobians=lambda x0, xf: (np.eye(n_x), np.zeros((n_x, n_x))),
         initial_guess=lambda t: (np.ones(np.shape(t) + (n_x,)), np.zeros(np.shape(t) + (1,))),
     )
 
@@ -203,16 +205,16 @@ def reference_callbacks(t: Transcript, z):
     hx, hu = ocp.running_cost_gradients(tc, states[:n], controls)
     g_states = np.zeros_like(states)
     g_states[:n] = scale * hx
-    g_states[0] += ocp.endpoint_cost_initial_gradient(ocp.t0, states[0])
-    g_states[n - 1] += ocp.endpoint_cost_final_gradient(ocp.tf, states[n - 1])
+    g0, gf = ocp.endpoint_cost_gradients(states[0], states[n - 1])
+    g_states[0] += g0
+    g_states[n - 1] += gf
     gradient = t.pack(g_states, scale * hu)
 
     defects = ocp.dynamics(tc, states[:n], controls) - (t.diff.entries @ states) / t.half_dt
     constraints = np.concatenate(
         [
             defects.ravel(),
-            np.atleast_1d(ocp.boundary_initial(ocp.t0, states[0])),
-            np.atleast_1d(ocp.boundary_final(ocp.tf, states[n - 1])),
+            np.atleast_1d(ocp.boundary(states[0], states[n - 1])),
         ]
     )
 
@@ -221,13 +223,9 @@ def reference_callbacks(t: Transcript, z):
     J[: t.n_defect, : t.n_state_vars] = -np.kron(t.diff.entries, np.eye(t.n_x)) / t.half_dt
     J[: t.n_defect, : t.n_defect] += block_diagonal(A)
     J[: t.n_defect, t.n_state_vars :] = block_diagonal(B)
-    row0 = t.n_defect
-    J[row0 : row0 + t.n_phi0, : t.n_x] = np.atleast_2d(
-        ocp.boundary_initial_jacobian(ocp.t0, states[0])
-    )
-    J[row0 + t.n_phi0 :, t.n_defect - t.n_x : t.n_defect] = np.atleast_2d(
-        ocp.boundary_final_jacobian(ocp.tf, states[n - 1])
-    )
+    J0, Jf = ocp.boundary_jacobians(states[0], states[n - 1])
+    J[t.n_defect :, : t.n_x] = J0
+    J[t.n_defect :, t.n_defect - t.n_x : t.n_defect] = Jf
     return gradient, constraints, J
 
 
@@ -289,13 +287,13 @@ class TestCostateExtraction:
             extract_costates(t, np.zeros(3))
 
 
-def make_solution(t: Transcript, states, controls, costates, nu0, nuf):
+def make_solution(t: Transcript, states, controls, costates, nu):
     return Solution(
         times=t.state_times,
         states=states,
         controls=controls,
         costates=costates,
-        boundary_multipliers=(nu0, nuf),
+        boundary_multipliers=nu,
         kkt_residual=0.0,
     )
 
@@ -313,8 +311,8 @@ class TestKktResiduals:
         controls = np.atleast_1d(self.truth.control_fn(t.collocation_times))[:, None]
         lam = np.atleast_1d(self.truth.costate_fn(t.collocation_times))[:, None]
         # Multiplier of the x(0) = 1 constraint at the optimum is -lambda(0).
-        nu0 = np.array([-lam[0, 0]])
-        sol = make_solution(t, states, controls, lam, nu0, np.zeros(0))
+        nu = np.array([-lam[0, 0]])
+        sol = make_solution(t, states, controls, lam, nu)
         return kkt_residuals(t, sol, ns, D, Dd)
 
     def test_analytic_triple_near_stationary(self):
@@ -341,7 +339,7 @@ class TestKktResiduals:
         controls = np.zeros((12, 1))
         for degree in (0, 3, 10):
             lam = (ns.collocation**degree)[:, None]
-            sol = make_solution(t, states, controls, lam, np.zeros(1), np.zeros(0))
+            sol = make_solution(t, states, controls, lam, np.zeros(1))
             r = kkt_residuals(t, sol, ns, D, Dd)
             assert r.exceptional_column <= 1e-10, f"degree {degree}"
 
@@ -352,7 +350,7 @@ class TestKktResiduals:
         Dd = build_dual_D(ns, D)
         lam = legendre_eval(11, ns.collocation)[0][:, None]
         sol = make_solution(
-            t, np.zeros((13, 1)), np.zeros((12, 1)), lam, np.zeros(1), np.zeros(0)
+            t, np.zeros((13, 1)), np.zeros((12, 1)), lam, np.zeros(1)
         )
         r = kkt_residuals(t, sol, ns, D, Dd)
         assert r.exceptional_column >= 1e-3 * np.max(np.abs(lam))
@@ -364,7 +362,7 @@ class TestKktResiduals:
         Dd = build_dual_D(ns, D)
         sol = make_solution(
             t, np.zeros((8, 1)), np.zeros((8, 1)), np.zeros((8, 1)),
-            np.zeros(1), np.zeros(0),
+            np.zeros(1),
         )
         with pytest.raises(ValueError, match="augmented"):
             kkt_residuals(t, sol, ns, D, Dd)
@@ -376,7 +374,7 @@ class TestKktResiduals:
         Dd = build_dual_D(ns, D)
         sol = make_solution(
             t, np.zeros((9, 1)), np.zeros((8, 1)), np.zeros((8, 1)),
-            np.zeros(1), np.zeros(0),
+            np.zeros(1),
         )
         # Swapped, and the rectangular matrix passed for both.
         for first, second in ((Dd, D), (D, D)):
@@ -422,31 +420,33 @@ class TestConstructionValidation:
         from dataclasses import replace
 
         # Each wrong shape would broadcast into the constraints, Jacobian or
-        # gradient without error: a one-row final Jacobian fills both of the
-        # orbit's final rows, a one-entry gradient every state component.
-        # The boundary maps set the row counts, so a 4-entry initial boundary
-        # is blamed on its 5-row Jacobian, and only a 2-D value on the map.
+        # gradient without error: a one-row final Jacobian fills all of the
+        # orbit's rows, a one-entry gradient every state component.  The
+        # boundary map sets the row count, so a 6-entry boundary is blamed
+        # on its 7-row Jacobians, and only a 2-D value on the map.
         defn = orbit_raising()
-        for field, value, blamed in [
-            ("boundary_initial", np.zeros(4), "boundary_initial_jacobian"),
-            ("boundary_initial", np.zeros((5, 1)), "boundary_initial"),
-            ("boundary_final", np.zeros((1, 2)), "boundary_final"),
+        for value, blamed in [
+            (np.zeros(6), "boundary_jacobians"),
+            (np.zeros((7, 1)), "boundary"),
+            (np.zeros((1, 2)), "boundary"),
         ]:
-            broken = replace(defn, **{field: lambda t, x, value=value: value})
+            broken = replace(defn, boundary=lambda x0, xf, value=value: value)
             with pytest.raises(ValueError, match=f"^{blamed} returned"):
                 transcribe(broken, lobatto_nodes(5), Method.NEW_LOBATTO)
+        J0, Jf = defn.boundary_jacobians(np.ones(5), np.ones(5))
+        g0, gf = defn.endpoint_cost_gradients(np.ones(5), np.ones(5))
         for field, value in [
-            ("boundary_initial_jacobian", np.eye(5)[:1]),
-            ("boundary_final_jacobian", np.zeros((1, 5))),
-            ("boundary_final_jacobian", np.zeros((2, 1))),
-            ("endpoint_cost_initial_gradient", np.zeros(1)),
-            ("endpoint_cost_final_gradient", np.array([-1.0])),
+            ("boundary_jacobians", (J0[:1], Jf)),
+            ("boundary_jacobians", (J0, np.zeros((1, 5)))),
+            ("boundary_jacobians", (J0, np.zeros((7, 1)))),
+            # One array in place of the pair.
+            ("boundary_jacobians", J0),
+            ("endpoint_cost_gradients", (np.zeros(1), gf)),
+            ("endpoint_cost_gradients", (g0, np.array([-1.0]))),
+            ("endpoint_cost_gradients", gf),
+            ("endpoint_cost_gradients", -1.0),
         ]:
-            changes = {field: lambda t, x, value=value: value}
-            if field == "endpoint_cost_initial_gradient":
-                # A gradient comes with its cost.
-                changes["endpoint_cost_initial"] = lambda t, x: 0.0
-            broken = replace(defn, **changes)
+            broken = replace(defn, **{field: lambda x0, xf, value=value: value})
             with pytest.raises(ValueError, match=f"^{field} returned"):
                 transcribe(broken, lobatto_nodes(5), Method.NEW_LOBATTO)
 
@@ -457,10 +457,20 @@ class TestConstructionValidation:
             lambda t: (np.ones((t.size, 1)), np.ones((t.size, 0))),
             lambda t: (np.ones(t.size), np.ones((t.size, 1))),
             lambda t: (np.ones((t.size + 1, 1)), np.ones((t.size + 1, 1))),
+            # Rows for the 5 collocation times, not the 6 state times.
+            lambda t: (np.ones((5, 1)), np.ones((5, 1))),
             lambda t: (np.ones((t.size, 1)),),
             lambda t: np.ones((t.size, 2)),
         ],
-        ids=["no-state", "no-control", "1-d-state", "wrong-rows", "one-array", "no-tuple"],
+        ids=[
+            "no-state",
+            "no-control",
+            "1-d-state",
+            "wrong-rows",
+            "collocation-rows",
+            "one-array",
+            "no-tuple",
+        ],
     )
     def test_malformed_guess_rejected(self, guess):
         from dataclasses import replace
@@ -471,11 +481,62 @@ class TestConstructionValidation:
 
     def test_dimensions_come_from_the_callbacks(self):
         orbit = transcribe(orbit_raising(), lobatto_nodes(5), Method.NEW_LOBATTO)
-        assert (orbit.n_x, orbit.n_u, orbit.n_phi0, orbit.n_phif) == (5, 1, 5, 2)
+        assert (orbit.n_x, orbit.n_u, orbit.n_boundary) == (5, 1, 7)
         ivp = transcribe(nonlinear_ivp()[0], lobatto_nodes(5), Method.NEW_LOBATTO)
-        assert (ivp.n_x, ivp.n_u, ivp.n_phi0, ivp.n_phif) == (1, 1, 1, 0)
+        assert (ivp.n_x, ivp.n_u, ivp.n_boundary) == (1, 1, 1)
 
     def test_unknown_method_rejected(self):
         defn, _ = nonlinear_ivp()
         with pytest.raises(ValueError):
             Transcript(defn, lobatto_nodes(5), "midpoint")
+
+
+def coupled_lq_problem():
+    """README's problem, dx/dt = u - x at control cost u^2 / 2 and endpoint
+    cost -x(1), with x(0) = 0 and the row x(1) - x(0) = 0.5, which reads
+    both ends.  Both ends are then fixed, so x(t) = 0.5 sinh(t) / sinh(1)."""
+    return OcpDefinition(
+        t0=0.0,
+        tf=1.0,
+        dynamics=lambda t, x, u: u - x,
+        dynamics_jacobians=lambda t, x, u: (
+            np.full(np.shape(x) + (1,), -1.0),
+            np.ones(np.shape(u) + (1,)),
+        ),
+        running_cost=lambda t, x, u: 0.5 * u[..., 0] ** 2,
+        running_cost_gradients=lambda t, x, u: (np.zeros(np.shape(x)), u),
+        endpoint_cost=lambda x0, xf: -xf[0],
+        endpoint_cost_gradients=lambda x0, xf: (np.zeros(1), np.array([-1.0])),
+        boundary=lambda x0, xf: np.array([x0[0], xf[0] - x0[0] - 0.5]),
+        boundary_jacobians=lambda x0, xf: (np.array([[1.0], [-1.0]]), np.array([[0.0], [1.0]])),
+        initial_guess=lambda t: (np.zeros(np.shape(t) + (1,)), np.zeros(np.shape(t) + (1,))),
+    )
+
+
+class TestRowsThatReadBothEnds:
+    @pytest.mark.parametrize("method", list(Method))
+    def test_jacobian_matches_central_differences(self, method):
+        t = transcribe(coupled_lq_problem(), lobatto_nodes(8), method)
+        z = t.initial_guess_vector() + 0.1 * np.random.default_rng(4).standard_normal(t.n_z)
+        J = t.jacobian(z)
+        # The coupled row has an entry at both end states.
+        assert J[-1, 0] == -1.0 and J[-1, t.n_defect - 1] == 1.0
+        step = 1e-6
+        for j in range(t.n_z):
+            bump = np.zeros(t.n_z)
+            bump[j] = step
+            col = (t.constraints(z + bump) - t.constraints(z - bump)) / (2 * step)
+            assert np.max(np.abs(J[:, j] - col) / (1.0 + np.abs(col))) < 1e-5
+
+    def test_augmented_solve_converges_and_passes_the_audit(self):
+        n = 12
+        t = transcribe(coupled_lq_problem(), lobatto_nodes(n), Method.NEW_LOBATTO)
+        z, mult, report = solve(t)
+        assert report.converged
+        assert np.max(np.abs(t.constraints(z)[t.n_defect :])) <= 1e-10
+        sol = assemble_solution(t, z, mult, report.final_kkt_norm)
+        assert sol.boundary_multipliers.shape == (2,)
+        audit = kkt_residuals(t, sol, t.ns, t.diff, build_dual_D(t.ns, t.diff))
+        assert audit.max_abs <= 1e-8
+        exact = 0.5 * np.sinh(t.state_times) / np.sinh(1.0)
+        assert np.max(np.abs(sol.states[:, 0] - exact)) <= 1e-8
