@@ -214,23 +214,59 @@ class TestValidation:
         with pytest.raises(ValueError, match="tf > t0"):
             replace(defn, t0=t0, tf=tf)
 
+    # An endpoint cost that reads one end only, with its gradient pair.
+    ONE_END_COSTS = {
+        "initial": (
+            lambda x0, xf: x0[0],
+            lambda x0, xf: (np.array([1.0]), np.zeros(1)),
+        ),
+        "final": (
+            lambda x0, xf: -xf[0],
+            lambda x0, xf: (np.zeros(1), np.array([-1.0])),
+        ),
+    }
+
+    # The endpoint cases are named after the end their cost reads.
     @pytest.mark.parametrize(
-        "given, missing",
+        "given, missing, end",
         [
-            ("running_cost", "running_cost_gradients"),
-            ("running_cost_gradients", "running_cost"),
-            ("endpoint_cost", "endpoint_cost_gradients"),
-            ("endpoint_cost_gradients", "endpoint_cost"),
+            pytest.param(
+                "running_cost", "running_cost_gradients", "final",
+                id="running_cost-running_cost_gradients",
+            ),
+            pytest.param(
+                "running_cost_gradients", "running_cost", "final",
+                id="running_cost_gradients-running_cost",
+            ),
+            pytest.param(
+                "endpoint_cost", "endpoint_cost_gradients", "initial",
+                id="endpoint_cost_initial-endpoint_cost_initial_gradient",
+            ),
+            pytest.param(
+                "endpoint_cost_gradients", "endpoint_cost", "initial",
+                id="endpoint_cost_initial_gradient-endpoint_cost_initial",
+            ),
+            pytest.param(
+                "endpoint_cost", "endpoint_cost_gradients", "final",
+                id="endpoint_cost_final-endpoint_cost_final_gradient",
+            ),
+            pytest.param(
+                "endpoint_cost_gradients", "endpoint_cost", "final",
+                id="endpoint_cost_final_gradient-endpoint_cost_final",
+            ),
         ],
     )
-    def test_cost_and_gradient_come_together(self, given, missing):
+    def test_cost_and_gradient_come_together(self, given, missing, end):
         # Without its gradient a cost would be optimized with the zero
         # default: README's example then "converges" at iteration 0.
         defn, _ = nonlinear_ivp()
         kwargs = {f.name: getattr(defn, f.name) for f in fields(defn)}
+        cost, gradients = self.ONE_END_COSTS[end]
         kwargs.update(
             running_cost=lambda t, x, u: 0.5 * u[..., 0] ** 2,
             running_cost_gradients=lambda t, x, u: (np.zeros(np.shape(x)), u),
+            endpoint_cost=cost,
+            endpoint_cost_gradients=gradients,
         )
         OcpDefinition(**kwargs)
         del kwargs[missing]
