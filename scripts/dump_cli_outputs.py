@@ -2,10 +2,12 @@
 
 Runs ``auglobatto.cli.main`` in-process on a fixed set of commands and
 writes, per command, its stdout, stderr, exit code and any CSV it wrote
-into OUTDIR.  Run it against two checkouts and compare the two folders::
+into OUTDIR.  Run it against two checkouts with the same BLAS thread count
+(the orbit solve's last bits depend on it, so pin it on both sides) and
+compare the two folders::
 
-    PYTHONPATH=old/src python3 scripts/dump_cli_outputs.py /tmp/old
-    PYTHONPATH=new/src python3 scripts/dump_cli_outputs.py /tmp/new
+    OPENBLAS_NUM_THREADS=1 PYTHONPATH=old/src python3 scripts/dump_cli_outputs.py /tmp/old
+    OPENBLAS_NUM_THREADS=1 PYTHONPATH=new/src python3 scripts/dump_cli_outputs.py /tmp/new
     diff -r /tmp/old /tmp/new
 
 The commands: ``nodes`` and ``diffmat --check`` (all three kinds) for

@@ -25,7 +25,6 @@ from .nlpsolve import (
     MaxIterationsError,
     SingularKktError,
     SolveReport,
-    SolverOptions,
     solve,
 )
 from .ocp import AnalyticTruth, OcpDefinition, nonlinear_ivp, orbit_raising
@@ -62,7 +61,6 @@ __all__ = [
     "SingularKktError",
     "Solution",
     "SolveReport",
-    "SolverOptions",
     "Transcript",
     "assemble_solution",
     "build_basis",

@@ -8,9 +8,9 @@ with a header row, UTF-8 and LF line endings.  Numbers are printed with
 field holds a comma, quote or line break, so none is quoted.
 
 A usage error exits with code 2 and names the flag, e.g.
-``auglobatto solve: error: argument --tol: must lie in (0, 1e-4)`` or
-``argument --max-iter: must be a positive integer``; the ranges are the
-ones ``SolverOptions`` checks.
+``auglobatto solve: error: argument --n: must be at least 3``.  ``solve``
+and ``converge`` run the solver at its fixed KKT tolerance and iteration
+budget.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from .discretization import (
     rank_and_condition,
     verify_definition,
 )
-from .nlpsolve import MaxIterationsError, SingularKktError, SolverOptions, solve
+from .nlpsolve import MaxIterationsError, SingularKktError, solve
 from .ocp import nonlinear_ivp, orbit_raising
 from .orthopoly import lobatto_nodes
 from .transcribe import Method, assemble_solution, transcribe
@@ -125,13 +125,11 @@ def cmd_diffmat(n: int, kind: str, check: bool, stream, err_stream) -> int:
     return 0 if ok else 1
 
 
-def cmd_solve(
-    problem: str, n: int, method: str, out_path: str, opts: SolverOptions = SolverOptions()
-) -> int:
+def cmd_solve(problem: str, n: int, method: str, out_path: str) -> int:
     defn, _ = _PROBLEMS[problem]()
     transcript = transcribe(defn, lobatto_nodes(n), Method(method))
     try:
-        z, mult, report = solve(transcript, opts)
+        z, mult, report = solve(transcript)
     except (MaxIterationsError, SingularKktError) as exc:
         print(f"solve failed for {problem} at n={n} ({method}): {exc}", file=sys.stderr)
         return 1
@@ -213,23 +211,6 @@ def _method_names(text: str) -> list:
     return names
 
 
-def _solver_option(field: str, parse):
-    """Type of a solver flag: ``parse`` reads the value and ``SolverOptions``
-    checks it.  The message drops the field name that ``SolverOptions`` puts
-    first, as argparse names the flag."""
-
-    def convert(text):
-        value = parse(text)
-        try:
-            SolverOptions(**{field: value})
-        except ValueError as exc:
-            raise argparse.ArgumentTypeError(str(exc).removeprefix(field + " ")) from None
-        return value
-
-    convert.__name__ = parse.__name__  # argparse's "invalid float value: 'x'"
-    return convert
-
-
 def _run_converge(args, error) -> int:
     if args.n_max < args.n_min:
         error("argument --n-max: must not be smaller than --n-min")
@@ -272,24 +253,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--problem", choices=list(_PROBLEMS), required=True)
     p_solve.add_argument("--n", type=_grid_size, required=True)
     p_solve.add_argument("--method", choices=_METHODS, default=Method.NEW_LOBATTO.value)
-    p_solve.add_argument(
-        "--tol", type=_solver_option("kkt_tolerance", float), default=SolverOptions.kkt_tolerance
-    )
-    p_solve.add_argument(
-        "--max-iter",
-        type=_solver_option("max_iterations", int),
-        default=SolverOptions.max_iterations,
-    )
     p_solve.add_argument("--out", required=True, help="output CSV path")
-    p_solve.set_defaults(
-        run=lambda args: cmd_solve(
-            args.problem,
-            args.n,
-            args.method,
-            args.out,
-            SolverOptions(kkt_tolerance=args.tol, max_iterations=args.max_iter),
-        )
-    )
+    p_solve.set_defaults(run=lambda args: cmd_solve(args.problem, args.n, args.method, args.out))
 
     p_conv = sub.add_parser("converge", help="error sweep against the analytic solution")
     # Only the IVP has an analytic truth to sweep against.

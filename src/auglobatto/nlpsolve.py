@@ -42,9 +42,10 @@ more than 2 line searches, while the rank-deficient square transcripts that
 end singular fail 23 to 33 in one step, each a full backtracking run.
 
 Each point is evaluated once: an accepted line-search trial's gradient,
-Jacobian, constraint values and KKT vector carry into the next step.  The
-regularization and line-search constants are fixed; ``SolverOptions`` sets
-the KKT tolerance and the iteration budget.
+Jacobian, constraint values and KKT vector carry into the next step.  Every
+constant is fixed: the KKT tolerance ``_KKT_TOLERANCE`` (1e-10) and the
+iteration budget ``_MAX_ITERATIONS`` (200) alongside the regularization,
+line-search, stall and failed-search ones.
 
 A solve that has stalled stops before the budget runs out.  The report keeps
 the gradient and constraint residuals of every iterate, and when, over the
@@ -60,7 +61,6 @@ the solve goes on.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -73,19 +73,8 @@ _LINE_SEARCH_SHRINK = 0.5
 _MIN_STEP = 1e-12
 _STALL_WINDOW = 20
 _MAX_FAILED_SEARCHES = 8
-
-
-@dataclass(frozen=True)
-class SolverOptions:
-    kkt_tolerance: float = 1e-10
-    max_iterations: int = 200
-
-    def __post_init__(self):
-        if not 0 < self.kkt_tolerance < 1e-4:
-            raise ValueError("kkt_tolerance must lie in (0, 1e-4)")
-        count = self.max_iterations
-        if isinstance(count, bool) or not isinstance(count, numbers.Integral) or count < 1:
-            raise ValueError("max_iterations must be a positive integer")
+_KKT_TOLERANCE = 1e-10
+_MAX_ITERATIONS = 200
 
 
 @dataclass
@@ -308,7 +297,7 @@ def _solve_kkt(H, J, rhs, delta, step_cap, inertia_known):
     return step, dual_shifted
 
 
-def solve(t: Transcript, opts: SolverOptions = SolverOptions()):
+def solve(t: Transcript):
     """Newton-iterate the transcript to a KKT point.
 
     Returns (z, multipliers, report).  Raises MaxIterationsError when the
@@ -327,13 +316,13 @@ def solve(t: Transcript, opts: SolverOptions = SolverOptions()):
 
     report = SolveReport(converged=False)
 
-    for iteration in range(opts.max_iterations):
+    for iteration in range(_MAX_ITERATIONS):
         grad_norm, cons_norm = _residuals(kkt, n)
         report.residuals.append((grad_norm, cons_norm))
-        if grad_norm <= opts.kkt_tolerance and cons_norm <= opts.kkt_tolerance:
+        if grad_norm <= _KKT_TOLERANCE and cons_norm <= _KKT_TOLERANCE:
             report.converged = True
             return z, mult, report
-        stall = _stall(report.residuals, opts.kkt_tolerance)
+        stall = _stall(report.residuals, _KKT_TOLERANCE)
         if stall is not None:
             raise MaxIterationsError(report, stall)
 

@@ -48,18 +48,21 @@ class Transcript:
     each endpoint-cost call gives both gradients.  All evaluation methods
     are pure.
 
-    Every nonlinear term reads one collocation node, so the per-node
-    dynamics Jacobians and the Lagrangian Hessian fill ``n_x + n_u``-square
-    blocks, one per node.  A node table, one row per collocation node, holds
-    the indices in ``z`` of that node's states and then its controls; node
-    k's defect rows carry the indices of its states.  The augmented method's
+    The dynamics and the running cost read one collocation node each, so
+    the per-node dynamics Jacobians and the Lagrangian Hessian fill
+    ``n_x + n_u``-square blocks, one per node; the endpoint cost and the
+    boundary map read both ends, which adds an ``n_x``-square Hessian block
+    between them.  A node table, one row per collocation node, holds the
+    indices in ``z`` of that node's states and then its controls; node k's
+    defect rows carry the indices of its states.  The augmented method's
     extra sample has no row, because no nonlinear term reads it.  The
     defect block is linear in the states and sits in a Jacobian template
     built once.  ``jacobian`` copies the template and scatters the dynamics
     Jacobians into the node blocks.  ``hessian`` differences the Lagrangian
     gradient with one state or control component bumped at every node at
-    once, and keeps each node's block.  ``objective_gradient`` and
-    ``constraints`` each fill one new vector.
+    once, keeps each node's block, and takes the block between the ends
+    apart.  ``objective_gradient`` and ``constraints`` each fill one new
+    vector.
 
     ``full_row_rank`` is true for the augmented method: its N x (N+1)
     matrix has full row rank by construction, while the square matrix loses
@@ -126,8 +129,7 @@ class Transcript:
         return np.concatenate([np.ravel(states), np.ravel(controls)])
 
     def initial_guess_vector(self) -> np.ndarray:
-        states, controls = self.ocp.initial_guess(self.state_times)
-        return self.pack(states, controls[: self.n])
+        return self._guess.copy()
 
     # -- NLP callbacks -----------------------------------------------------
 
@@ -180,10 +182,14 @@ class Transcript:
         """Lagrangian Hessian at (z, mult) by forward differences from its
         gradient ``objective_gradient(z) + jacobian(z).T @ mult``.
 
-        A gradient row depends nonlinearly on its own node's unknowns only,
-        so one bump of component i at every node gives column i of every
-        node block: n_x + n_u gradients in all.  Entries off the node blocks
-        and at the extra sample are zero.
+        Away from the ends a gradient row depends nonlinearly on its own
+        node's unknowns only, so one bump of component i at every node gives
+        column i of every node block: n_x + n_u gradients in all.  That bump
+        moves both ends at once, so each end's block also takes the
+        curvature between the ends of phi + nu^T psi.  Differencing
+        g0 + J0^T nu over x(tf) alone gives that cross block; it comes off
+        both end blocks and goes in the two cross positions.  Every other
+        entry off the node blocks, and the extra sample's, is zero.
         """
         step = 1e-7
         H = np.zeros((self.n_z, self.n_z))
@@ -193,15 +199,36 @@ class Transcript:
             bumped[self._nodes[:, i]] += step
             bumped_gradient = self.objective_gradient(bumped) + self.jacobian(bumped).T @ mult
             flat[self._blocks[:, :, i]] = ((bumped_gradient - gradient) / step)[self._nodes]
+
+        start, end = slice(0, self.n_x), slice(self.n_defect - self.n_x, self.n_defect)
+        x0, xf = z[start], z[end]
+        nu = mult[self.n_defect :]
+
+        def start_gradient(xf):
+            g0, _ = self.ocp.endpoint_cost_gradients(x0, xf)
+            J0, _ = self.ocp.boundary_jacobians(x0, xf)
+            return g0 + J0.T @ nu
+
+        base = start_gradient(xf)
+        cross = np.empty((self.n_x, self.n_x))
+        for i in range(self.n_x):
+            bumped = xf.copy()
+            bumped[i] += step
+            cross[:, i] = (start_gradient(bumped) - base) / step
+        H[start, start] -= cross
+        H[end, end] -= cross.T
+        H[start, end] = cross
+        H[end, start] = cross.T
         return 0.5 * (H + H.T)
 
     # -- construction checks ----------------------------------------------
 
     def _read_callbacks(self):
         """Take the dimensions from the guess on the state times and from
-        the boundary map at the ends of it, then call every other node-array
-        callback once on the guess's collocation rows and every other
-        endpoint callback once on its ends."""
+        the boundary map at the ends of it, and keep the packed guess; then
+        call every other node-array callback once on the guess's
+        collocation rows and every other endpoint callback once on its
+        ends."""
         ocp = self.ocp
         n, rows, tc = self.n, self.n_state_nodes, self.collocation_times
         guess = ocp.initial_guess(self.state_times)
@@ -211,6 +238,7 @@ class Transcript:
                 f"initial_guess returned shapes {shapes}, "
                 f"expected two arrays of {rows} rows and at least one column"
             )
+        self._guess = self.pack(guess[0], guess[1][:n])
         x, u = guess[0][:n], guess[1][:n]
         x0, xf = x[0], x[n - 1]
         self.n_x, self.n_u = n_x, n_u = x.shape[1], u.shape[1]

@@ -14,7 +14,6 @@ from auglobatto.discretization import numerical_rank
 from auglobatto.nlpsolve import (
     MaxIterationsError,
     SingularKktError,
-    SolverOptions,
     _inertia_band,
     _solve_kkt,
     _stall,
@@ -78,8 +77,7 @@ def test_quadratic_probe_solution_and_multiplier():
 
 
 def test_linear_quadratic_needs_one_newton_step():
-    opts = SolverOptions(kkt_tolerance=1e-6)
-    _, _, report = solve(pin_first_coordinate(guess=np.array([3.0, -2.0, 5.0])), opts)
+    _, _, report = solve(pin_first_coordinate(guess=np.array([3.0, -2.0, 5.0])))
     assert report.converged
     assert report.iterations == 1
 
@@ -362,38 +360,12 @@ def test_grouped_hessian_matches_column_loop(factory, method, monkeypatch):
             assert np.all(reference[:, extra] == 0.0)
 
 
-# -- options validation ----------------------------------------------------
-
-
-@pytest.mark.parametrize(
-    "kwargs",
-    [
-        {"kkt_tolerance": 0.0},
-        {"kkt_tolerance": -1e-10},
-        {"kkt_tolerance": 1e-4},
-        {"max_iterations": 0},
-        {"kkt_tolerance": float("nan")},
-        {"max_iterations": 2.5},
-        {"max_iterations": True},
-    ],
-)
-def test_bad_options_rejected(kwargs):
-    with pytest.raises(ValueError):
-        SolverOptions(**kwargs)
-
-
-def test_numpy_integer_iteration_budget_is_honoured():
-    defn, _ = nonlinear_ivp()
-    t = transcribe(defn, lobatto_nodes(15), Method.NEW_LOBATTO)
-    with pytest.raises(MaxIterationsError) as err:
-        solve(t, SolverOptions(max_iterations=np.int64(3)))
-    assert err.value.report.iterations == 3
+# -- fixed constants -------------------------------------------------------
 
 
 def test_default_options():
-    opts = SolverOptions()
-    assert opts.kkt_tolerance == 1e-10
-    assert opts.max_iterations == 200
+    assert nlpsolve._KKT_TOLERANCE == 1e-10
+    assert nlpsolve._MAX_ITERATIONS == 200
 
 
 # -- benchmark solves ------------------------------------------------------
@@ -416,7 +388,7 @@ def test_ivp_converges_within_budget(ivp_n15):
 
 def test_converged_report_is_consistent(ivp_n15):
     t, _, z, mult, report = ivp_n15
-    assert report.final_kkt_norm <= SolverOptions().kkt_tolerance
+    assert report.final_kkt_norm <= nlpsolve._KKT_TOLERANCE
     grad = t.objective_gradient(z) + t.jacobian(z).T @ mult
     assert np.max(np.abs(grad)) <= 1e-10
     assert np.max(np.abs(t.constraints(z))) <= 1e-10
@@ -461,11 +433,12 @@ def test_each_point_is_evaluated_once():
     assert calls["jacobian"] == calls["objective_gradient"]
 
 
-def test_max_iterations_carries_report():
+def test_max_iterations_carries_report(monkeypatch):
     defn, _ = nonlinear_ivp()
     t = transcribe(defn, lobatto_nodes(15), Method.NEW_LOBATTO)
+    monkeypatch.setattr(nlpsolve, "_MAX_ITERATIONS", 3)
     with pytest.raises(MaxIterationsError) as err:
-        solve(t, SolverOptions(max_iterations=3))
+        solve(t)
     assert str(err.value).startswith("no convergence in 3 iterations")
     report = err.value.report
     assert not report.converged
@@ -524,7 +497,7 @@ def test_square_stall_stops_early(n, before, done):
     assert len(report.residuals) == report.iterations + 1
     assert len(report.step_history) == report.iterations
     assert report.final_kkt_norm == max(report.residuals[-1])
-    tol = SolverOptions().kkt_tolerance
+    tol = nlpsolve._KKT_TOLERANCE
     names = ("gradient", "constraint")
     k = names.index(done)
     window = np.array(report.residuals[-nlpsolve._STALL_WINDOW - 1 :])
@@ -565,7 +538,7 @@ def test_stall_stop_replays_the_budget_loop(factory, n, method, monkeypatch):
     # loop that ran every failing solve to its last iteration.
     t = transcribe(factory(), lobatto_nodes(n), method)
     outcome, report, z, mult = solve_outcome(t)
-    monkeypatch.setattr(nlpsolve, "_STALL_WINDOW", SolverOptions().max_iterations + 1)
+    monkeypatch.setattr(nlpsolve, "_STALL_WINDOW", nlpsolve._MAX_ITERATIONS + 1)
     reference, ref_report, ref_z, ref_mult = solve_outcome(t)
     steps = report.iterations
     assert report.step_history == ref_report.step_history[:steps]
@@ -573,7 +546,7 @@ def test_stall_stop_replays_the_budget_loop(factory, n, method, monkeypatch):
     if (n, method) == (17, Method.STANDARD_LOBATTO):
         # The one stalled solve of these stops early, on the same path.
         assert outcome == reference == "MaxIterationsError"
-        assert ref_report.iterations == SolverOptions().max_iterations
+        assert ref_report.iterations == nlpsolve._MAX_ITERATIONS
         assert steps < ref_report.iterations
         return
     # With the same step count, the prefixes above are the whole records.

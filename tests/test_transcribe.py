@@ -491,10 +491,9 @@ class TestConstructionValidation:
             Transcript(defn, lobatto_nodes(5), "midpoint")
 
 
-def coupled_lq_problem():
-    """README's problem, dx/dt = u - x at control cost u^2 / 2 and endpoint
-    cost -x(1), with x(0) = 0 and the row x(1) - x(0) = 0.5, which reads
-    both ends.  Both ends are then fixed, so x(t) = 0.5 sinh(t) / sinh(1)."""
+def decay_problem(x_guess=1.0, **ends):
+    """dx/dt = u - x on [0, 1] from the guess x = x_guess, u = 0, with the
+    given costs and boundary callbacks."""
     return OcpDefinition(
         t0=0.0,
         tf=1.0,
@@ -503,13 +502,26 @@ def coupled_lq_problem():
             np.full(np.shape(x) + (1,), -1.0),
             np.ones(np.shape(u) + (1,)),
         ),
+        initial_guess=lambda t: (
+            np.full(np.shape(t) + (1,), x_guess),
+            np.zeros(np.shape(t) + (1,)),
+        ),
+        **ends,
+    )
+
+
+def coupled_lq_problem():
+    """README's problem, dx/dt = u - x at control cost u^2 / 2 and endpoint
+    cost -x(1), with x(0) = 0 and the row x(1) - x(0) = 0.5, which reads
+    both ends.  Both ends are then fixed, so x(t) = 0.5 sinh(t) / sinh(1)."""
+    return decay_problem(
         running_cost=lambda t, x, u: 0.5 * u[..., 0] ** 2,
         running_cost_gradients=lambda t, x, u: (np.zeros(np.shape(x)), u),
         endpoint_cost=lambda x0, xf: -xf[0],
         endpoint_cost_gradients=lambda x0, xf: (np.zeros(1), np.array([-1.0])),
         boundary=lambda x0, xf: np.array([x0[0], xf[0] - x0[0] - 0.5]),
         boundary_jacobians=lambda x0, xf: (np.array([[1.0], [-1.0]]), np.array([[0.0], [1.0]])),
-        initial_guess=lambda t: (np.zeros(np.shape(t) + (1,)), np.zeros(np.shape(t) + (1,))),
+        x_guess=0.0,
     )
 
 
@@ -540,3 +552,58 @@ class TestRowsThatReadBothEnds:
         assert audit.max_abs <= 1e-8
         exact = 0.5 * np.sinh(t.state_times) / np.sinh(1.0)
         assert np.max(np.abs(sol.states[:, 0] - exact)) <= 1e-8
+
+    @pytest.mark.parametrize("method", list(Method))
+    def test_hessian_keeps_the_curvature_between_the_ends(self, method):
+        # The row x0 xf - 0.5 is the only curvature: its multiplier sits at
+        # (x0, xf) and (xf, x0), and the two end blocks stay zero.
+        problem = decay_problem(
+            boundary=lambda x0, xf: np.array([x0[0] - 1.0, x0[0] * xf[0] - 0.5]),
+            boundary_jacobians=lambda x0, xf: (np.array([[1.0], xf]), np.array([[0.0], x0])),
+        )
+        t = transcribe(problem, lobatto_nodes(8), method)
+        rng = np.random.default_rng(0)
+        z, mult = rng.standard_normal(t.n_z), rng.standard_normal(t.n_constraints)
+
+        def lagrangian_gradient(z):
+            return t.objective_gradient(z) + t.jacobian(z).T @ mult
+
+        base = lagrangian_gradient(z)
+        step = 1e-7
+        columns = np.empty((t.n_z, t.n_z))
+        for j in range(t.n_z):
+            bumped = z.copy()
+            bumped[j] += step
+            columns[:, j] = (lagrangian_gradient(bumped) - base) / step
+        H = t.hessian(z, mult, base)
+        assert np.max(np.abs(H - 0.5 * (columns + columns.T))) < 1e-6
+        x0, xf = 0, t.n_defect - 1
+        assert H[x0, xf] == H[xf, x0] == pytest.approx(mult[-1], abs=1e-6)
+        assert abs(H[x0, x0]) < 1e-6 and abs(H[xf, xf]) < 1e-6
+
+    @pytest.mark.parametrize("method", list(Method))
+    @pytest.mark.parametrize("n", [8, 16, 24])
+    def test_solve_with_a_cost_that_couples_the_ends(self, n, method):
+        # min 5 (x0 xf - 0.2)^2 + int u^2 / 2 with x(0) = 1: u = -lambda
+        # and lambda(t) = 10 (x(1) - 0.2) e^(t - 1), so
+        # x(1) = (e^-1 + 1 - e^-2) / (1 + 5 (1 - e^-2)).
+        def misfit(x0, xf):
+            return x0[0] * xf[0] - 0.2
+
+        problem = decay_problem(
+            running_cost=lambda t, x, u: 0.5 * u[..., 0] ** 2,
+            running_cost_gradients=lambda t, x, u: (np.zeros(np.shape(x)), u),
+            endpoint_cost=lambda x0, xf: 5.0 * misfit(x0, xf) ** 2,
+            endpoint_cost_gradients=lambda x0, xf: (
+                10.0 * misfit(x0, xf) * xf,
+                10.0 * misfit(x0, xf) * x0,
+            ),
+            boundary=lambda x0, xf: x0 - 1.0,
+            boundary_jacobians=lambda x0, xf: (np.eye(1), np.zeros((1, 1))),
+        )
+        t = transcribe(problem, lobatto_nodes(n), method)
+        z, _, report = solve(t)
+        assert report.converged
+        assert report.iterations <= 5
+        exact = (np.exp(-1.0) + 1.0 - np.exp(-2.0)) / (1.0 + 5.0 * (1.0 - np.exp(-2.0)))
+        assert abs(t.unpack(z)[0][n - 1, 0] - exact) < 1e-9
