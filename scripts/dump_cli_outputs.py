@@ -2,13 +2,10 @@
 
 Runs ``auglobatto.cli.main`` in-process on a fixed set of commands and
 writes, per command, its stdout, stderr, exit code and any CSV it wrote
-into OUTDIR.  Run it against two checkouts with the same BLAS thread count
-(the orbit solve's last bits depend on it, so pin it on both sides) and
-compare the two folders::
-
-    OPENBLAS_NUM_THREADS=1 PYTHONPATH=old/src python3 scripts/dump_cli_outputs.py /tmp/old
-    OPENBLAS_NUM_THREADS=1 PYTHONPATH=new/src python3 scripts/dump_cli_outputs.py /tmp/new
-    diff -r /tmp/old /tmp/new
+into OUTDIR.  Compare two checkouts at the same BLAS thread count (the
+orbit solve's last bits depend on it); ``python3 scripts/compare_trees.py
+REV`` runs this script and ``dump_solves.py`` on REV's source and on this
+checkout's with ``OPENBLAS_NUM_THREADS=1`` and prints the differing lines.
 
 The commands: ``nodes`` and ``diffmat --check`` (all three kinds) for
 N=3..50; ``solve`` for the IVP at N=10 and 25 (augmented), at N=11

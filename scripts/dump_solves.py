@@ -8,13 +8,11 @@ then sha256 hashes of the final ``z`` and multipliers (converged solves
 only) and of the report's ``residuals`` and ``step_history``.  A converged
 augmented solve adds its ``kkt_residuals`` audit; an orbit solve adds the
 leading-coefficient gate ratio and the boundary residual.  Every float is
-written with ``%.17g``, so equal lines mean bit-identical results.  Run it
-against two checkouts with the same BLAS thread count (the orbit solves'
-last bits depend on it) and compare::
-
-    OPENBLAS_NUM_THREADS=1 PYTHONPATH=old/src python3 scripts/dump_solves.py > old.txt
-    OPENBLAS_NUM_THREADS=1 PYTHONPATH=new/src python3 scripts/dump_solves.py > new.txt
-    diff old.txt new.txt
+written with ``%.17g``, so equal lines mean bit-identical results.  Compare
+two checkouts at the same BLAS thread count (the orbit solves' last bits
+depend on it); ``python3 scripts/compare_trees.py REV`` runs this script and
+``dump_cli_outputs.py`` on REV's source and on this checkout's with
+``OPENBLAS_NUM_THREADS=1`` and prints the differing lines.
 """
 
 from __future__ import annotations

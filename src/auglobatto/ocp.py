@@ -29,40 +29,40 @@ def _zero_cost(t, x, u):
 
 
 def _zero_cost_gradients(t, x, u):
-    return np.zeros(np.shape(x)), np.zeros(np.shape(u))
+    return np.zeros(np.shape(x)[:-1] + (np.shape(x)[-1] + np.shape(u)[-1],))
 
 
 def _zero_endpoint_cost(x0, xf):
     return 0.0
 
 
-def _zero_endpoint_cost_gradients(x0, xf):
-    return np.zeros(np.shape(x0)), np.zeros(np.shape(xf))
+def _zero_endpoint_cost_gradient(x0, xf):
+    return np.zeros(np.size(x0) + np.size(xf))
 
 
 @dataclass(frozen=True, kw_only=True)
 class OcpDefinition:
     """Smooth fixed-time optimal control problem with equality boundaries.
 
-    Dynamics, costs and boundary maps are plain callables; Jacobian
-    callables return dense arrays with rows indexed by the residual and
-    columns by the state (or control) component.  ``initial_guess`` maps
+    Dynamics, costs and boundary maps are plain callables; each derivative
+    callable returns one dense array, over the concatenation of its vector
+    arguments in order, with rows indexed by the residual.  ``initial_guess`` maps
     times to the (state, control) samples used to seed the solver.
 
     ``dynamics``, ``dynamics_jacobians``, ``running_cost``,
     ``running_cost_gradients`` and ``initial_guess`` broadcast over leading
     node axes: ``t`` has shape ``(...)``, ``x`` ``(..., n_x)``, ``u``
-    ``(..., n_u)``; the Jacobians are ``(..., n_x, n_x)`` and
-    ``(..., n_x, n_u)``, the running cost ``(...)``.  Written with
+    ``(..., n_u)``; the Jacobians are ``(..., n_x, n_x + n_u)`` and the
+    gradients ``(..., n_x + n_u)``, the running cost ``(...)``.  Written with
     ``x[..., i]`` indexing they also take one node (scalar ``t``, 1-D ``x``
     and ``u``).
 
     The endpoint callbacks take both end states ``(x0, xf)`` and no time.
     ``boundary`` returns a scalar or a vector of ``n_boundary`` rows (by
-    convention the rows that read ``x0`` first) and ``boundary_jacobians``
-    the pair ``(J0, Jf)``, each ``(n_boundary, n_x)``; a row may read both
+    convention the rows that read ``x0`` first) and ``boundary_jacobian``
+    one ``(n_boundary, 2 n_x)`` array; a row may read both
     ends.  ``endpoint_cost`` returns a scalar and
-    ``endpoint_cost_gradients`` the pair ``(g0, gf)``, each ``(n_x,)``.
+    ``endpoint_cost_gradient`` one ``(2 n_x,)`` vector.
     Costs default to zero; a cost and its gradient are given together or
     not at all, else ``ValueError`` names the missing one.  No dimension is
     declared: the transcript reads ``n_x`` and ``n_u`` off the guess and
@@ -72,14 +72,14 @@ class OcpDefinition:
     t0: float
     tf: float
     dynamics: Callable[[Vector, Vector, Vector], Vector]
-    dynamics_jacobians: Callable[[Vector, Vector, Vector], tuple]
+    dynamics_jacobians: Callable[[Vector, Vector, Vector], Vector]
     boundary: Callable[[Vector, Vector], Vector]
-    boundary_jacobians: Callable[[Vector, Vector], tuple]
+    boundary_jacobian: Callable[[Vector, Vector], Vector]
     initial_guess: Callable[[Vector], tuple]
     running_cost: Callable[[Vector, Vector, Vector], Vector] = _zero_cost
-    running_cost_gradients: Callable[[Vector, Vector, Vector], tuple] = _zero_cost_gradients
+    running_cost_gradients: Callable[[Vector, Vector, Vector], Vector] = _zero_cost_gradients
     endpoint_cost: Callable[[Vector, Vector], float] = _zero_endpoint_cost
-    endpoint_cost_gradients: Callable[[Vector, Vector], tuple] = _zero_endpoint_cost_gradients
+    endpoint_cost_gradient: Callable[[Vector, Vector], Vector] = _zero_endpoint_cost_gradient
 
     def __post_init__(self):
         if not (np.isfinite(self.t0) and np.isfinite(self.tf) and self.tf > self.t0):
@@ -89,7 +89,7 @@ class OcpDefinition:
         defaults = {f.name: f.default for f in fields(self)}
         for cost, gradient in (
             ("running_cost", "running_cost_gradients"),
-            ("endpoint_cost", "endpoint_cost_gradients"),
+            ("endpoint_cost", "endpoint_cost_gradient"),
         ):
             has_cost = getattr(self, cost) is not defaults[cost]
             if has_cost != (getattr(self, gradient) is not defaults[gradient]):
@@ -138,21 +138,21 @@ def _orbit_jacobians(t, x, u):
     beta = u[..., 0]
     sb, cb = np.sin(beta), np.cos(beta)
     accel = _ORBIT_THRUST / m
-    A = np.zeros(np.shape(x) + (5,))
-    A[..., 0, 2] = 1.0
-    A[..., 1, 0] = -vt / r**2
-    A[..., 1, 3] = 1.0 / r
-    A[..., 2, 0] = -vt * vt / r**2 + 2.0 * _ORBIT_MU / r**3
-    A[..., 2, 3] = 2.0 * vt / r
-    A[..., 2, 4] = -accel / m * sb
-    A[..., 3, 0] = vr * vt / r**2
-    A[..., 3, 2] = -vt / r
-    A[..., 3, 3] = -vr / r
-    A[..., 3, 4] = -accel / m * cb
-    B = np.zeros(np.shape(x) + (1,))
-    B[..., 2, 0] = accel * cb
-    B[..., 3, 0] = -accel * sb
-    return A, B
+    # Columns r, theta, v_r, v_theta, m, then beta.
+    F = np.zeros(np.shape(x) + (6,))
+    F[..., 0, 2] = 1.0
+    F[..., 1, 0] = -vt / r**2
+    F[..., 1, 3] = 1.0 / r
+    F[..., 2, 0] = -vt * vt / r**2 + 2.0 * _ORBIT_MU / r**3
+    F[..., 2, 3] = 2.0 * vt / r
+    F[..., 2, 4] = -accel / m * sb
+    F[..., 2, 5] = accel * cb
+    F[..., 3, 0] = vr * vt / r**2
+    F[..., 3, 2] = -vt / r
+    F[..., 3, 3] = -vr / r
+    F[..., 3, 4] = -accel / m * cb
+    F[..., 3, 5] = -accel * sb
+    return F
 
 
 def _orbit_guess(t):
@@ -185,18 +185,18 @@ def orbit_raising() -> OcpDefinition:
         r, _, vr, vt, _ = xf
         return np.concatenate([x0 - _ORBIT_X0, [vr, vt - np.sqrt(_ORBIT_MU / r)]])
 
-    def boundary_jacobians(x0, xf):
-        Jf = np.zeros((7, 5))
-        Jf[5, 2] = 1.0
-        Jf[6, 0] = 0.5 * np.sqrt(_ORBIT_MU) * xf[0] ** -1.5
-        Jf[6, 3] = 1.0
-        return np.eye(7, 5), Jf
+    def boundary_jacobian(x0, xf):
+        J = np.hstack([np.eye(7, 5), np.zeros((7, 5))])  # columns x0, then xf
+        J[5, 7] = 1.0
+        J[6, 5] = 0.5 * np.sqrt(_ORBIT_MU) * xf[0] ** -1.5
+        J[6, 8] = 1.0
+        return J
 
     def final_cost(x0, xf):
         return -xf[0]
 
-    def final_cost_gradients(x0, xf):
-        return np.zeros(5), np.array([-1.0, 0.0, 0.0, 0.0, 0.0])
+    def final_cost_gradient(x0, xf):
+        return np.array([0, 0, 0, 0, 0, -1, 0, 0, 0, 0], dtype=float)
 
     return OcpDefinition(
         t0=0.0,
@@ -204,9 +204,9 @@ def orbit_raising() -> OcpDefinition:
         dynamics=_orbit_dynamics,
         dynamics_jacobians=_orbit_jacobians,
         endpoint_cost=final_cost,
-        endpoint_cost_gradients=final_cost_gradients,
+        endpoint_cost_gradient=final_cost_gradient,
         boundary=boundary,
-        boundary_jacobians=boundary_jacobians,
+        boundary_jacobian=boundary_jacobian,
         initial_guess=_orbit_guess,
     )
 
@@ -224,9 +224,7 @@ def _ivp_dynamics(t, x, u):
 
 
 def _ivp_jacobians(t, x, u):
-    A = _IVP_RATE * (u - 1.0)[..., None]
-    B = _IVP_RATE * (x - 2.0 * u)[..., None]
-    return A, B
+    return _IVP_RATE * np.concatenate([u - 1.0, x - 2.0 * u], axis=-1)[..., None, :]
 
 
 def nonlinear_ivp() -> tuple[OcpDefinition, AnalyticTruth]:
@@ -247,9 +245,9 @@ def nonlinear_ivp() -> tuple[OcpDefinition, AnalyticTruth]:
         dynamics=_ivp_dynamics,
         dynamics_jacobians=_ivp_jacobians,
         endpoint_cost=lambda x0, xf: -xf[0],
-        endpoint_cost_gradients=lambda x0, xf: (np.zeros(1), np.array([-1.0])),
+        endpoint_cost_gradient=lambda x0, xf: np.array([0.0, -1.0]),
         boundary=lambda x0, xf: x0 - 1.0,
-        boundary_jacobians=lambda x0, xf: (np.eye(1), np.zeros((1, 1))),
+        boundary_jacobian=lambda x0, xf: np.array([[1.0, 0.0]]),
         initial_guess=guess,
     )
 

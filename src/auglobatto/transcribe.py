@@ -38,15 +38,15 @@ class Transcript:
     ``n_x`` and ``n_u`` are the column counts of ``initial_guess`` on the
     state times, ``n_boundary`` the length of the boundary map at the ends
     of that guess.  Construction reads them first, then calls every other
-    callback once and raises ValueError naming any whose shape disagrees.
+    callback once and raises ValueError naming any whose shape disagrees or
+    whose value is not finite, the guess's included.
 
     Layout of the decision vector ``z``: state samples node-major first
     (``n_state_nodes`` blocks of ``n_x``), then control samples node-major
     (``n`` blocks of ``n_u``).  Constraint vector: defect rows node-major
     (``n`` blocks of ``n_x``), then the ``n_boundary`` boundary rows.  The
-    ends are state nodes 0 and ``n - 1``; each boundary call reads both and
-    each endpoint-cost call gives both gradients.  All evaluation methods
-    are pure.
+    ends are state nodes 0 and ``n - 1``; each endpoint call reads both.
+    All evaluation methods are pure.
 
     The dynamics and the running cost read one collocation node each, so
     the per-node dynamics Jacobians and the Lagrangian Hessian fill
@@ -54,11 +54,13 @@ class Transcript:
     boundary map read both ends, which adds an ``n_x``-square Hessian block
     between them.  A node table, one row per collocation node, holds the
     indices in ``z`` of that node's states and then its controls; node k's
-    defect rows carry the indices of its states.  The augmented method's
+    defect rows carry the indices of its states.  An end table holds those
+    of x(t0), then x(tf).  The augmented method's
     extra sample has no row, because no nonlinear term reads it.  The
     defect block is linear in the states and sits in a Jacobian template
     built once.  ``jacobian`` copies the template and scatters the dynamics
-    Jacobians into the node blocks.  ``hessian`` differences the Lagrangian
+    Jacobians into the node rows and the boundary one into the end columns.
+    ``hessian`` differences the Lagrangian
     gradient with one state or control component bumped at every node at
     once, keeps each node's block, and takes the block between the ends
     apart.  ``objective_gradient`` and ``constraints`` each fill one new
@@ -100,11 +102,14 @@ class Transcript:
         states = np.arange(self.n_defect).reshape(self.n, self.n_x)
         controls = np.arange(self.n_state_vars, self.n_z).reshape(self.n, self.n_u)
         self._nodes = np.hstack([states, controls])
+        # Indices in z of x(t0), then x(tf): the endpoint derivatives' columns.
+        self._ends = np.concatenate([states[0], states[self.n - 1]])
         # Flat index of (row _nodes[k, r], column _nodes[k, c]) in a
         # row-major matrix n_z wide: the Hessian's node blocks, and for
-        # r < n_x the Jacobian's A and B blocks.  The template holds the
-        # defect block that is linear in the states.
+        # r < n_x the Jacobian's dynamics blocks, copied to scatter faster.
+        # The template holds the defect block that is linear in the states.
         self._blocks = self._nodes[:, :, None] * self.n_z + self._nodes[:, None, :]
+        self._defect_blocks = self._blocks[:, : self.n_x].copy()
         self._jacobian_template = np.zeros((self.n_constraints, self.n_z))
         self._jacobian_template[: self.n_defect, : self.n_state_vars] = -np.kron(
             self.diff.entries, np.eye(self.n_x)
@@ -146,14 +151,10 @@ class Transcript:
         states, controls = self.unpack(z)
         ocp = self.ocp
         n = self.n
-        hx, hu = ocp.running_cost_gradients(self.collocation_times, states[:n], controls)
+        h = ocp.running_cost_gradients(self.collocation_times, states[:n], controls)
         gradient = np.zeros(self.n_z)
-        g_states = gradient[: self.n_state_vars].reshape(self.n_state_nodes, self.n_x)
-        g_states[:n] = self._quadrature * hx
-        g0, gf = ocp.endpoint_cost_gradients(states[0], states[n - 1])
-        g_states[0] += g0
-        g_states[n - 1] += gf
-        gradient[self.n_state_vars :] = (self._quadrature * hu).ravel()
+        gradient[self._nodes] = self._quadrature * h
+        gradient[self._ends] += ocp.endpoint_cost_gradient(states[0], states[n - 1])
         return gradient
 
     def constraints(self, z) -> np.ndarray:
@@ -168,14 +169,10 @@ class Transcript:
     def jacobian(self, z) -> np.ndarray:
         states, controls = self.unpack(z)
         ocp = self.ocp
-        A, B = ocp.dynamics_jacobians(self.collocation_times, states[: self.n], controls)
+        F = ocp.dynamics_jacobians(self.collocation_times, states[: self.n], controls)
         J = self._jacobian_template.copy()
-        flat = J.reshape(-1)
-        flat[self._blocks[:, : self.n_x, : self.n_x]] += A
-        flat[self._blocks[:, : self.n_x, self.n_x :]] = B
-        J0, Jf = ocp.boundary_jacobians(states[0], states[self.n - 1])
-        J[self.n_defect :, : self.n_x] = J0
-        J[self.n_defect :, self.n_defect - self.n_x : self.n_defect] = Jf
+        J.reshape(-1)[self._defect_blocks] += F
+        J[self.n_defect :, self._ends] = ocp.boundary_jacobian(states[0], states[self.n - 1])
         return J
 
     def hessian(self, z, mult, gradient) -> np.ndarray:
@@ -186,8 +183,8 @@ class Transcript:
         node's unknowns only, so one bump of component i at every node gives
         column i of every node block: n_x + n_u gradients in all.  That bump
         moves both ends at once, so each end's block also takes the
-        curvature between the ends of phi + nu^T psi.  Differencing
-        g0 + J0^T nu over x(tf) alone gives that cross block; it comes off
+        curvature between the ends of phi + nu^T psi.  Differencing its
+        gradient's x(t0) part over x(tf) alone gives that cross block; it comes off
         both end blocks and goes in the two cross positions.  Every other
         entry off the node blocks, and the extra sample's, is zero.
         """
@@ -205,9 +202,8 @@ class Transcript:
         nu = mult[self.n_defect :]
 
         def start_gradient(xf):
-            g0, _ = self.ocp.endpoint_cost_gradients(x0, xf)
-            J0, _ = self.ocp.boundary_jacobians(x0, xf)
-            return g0 + J0.T @ nu
+            g = self.ocp.endpoint_cost_gradient(x0, xf)
+            return (g + self.ocp.boundary_jacobian(x0, xf).T @ nu)[: self.n_x]
 
         base = start_gradient(xf)
         cross = np.empty((self.n_x, self.n_x))
@@ -227,8 +223,7 @@ class Transcript:
         """Take the dimensions from the guess on the state times and from
         the boundary map at the ends of it, and keep the packed guess; then
         call every other node-array callback once on the guess's
-        collocation rows and every other endpoint callback once on its
-        ends."""
+        collocation rows and both endpoint derivatives once on its ends."""
         ocp = self.ocp
         n, rows, tc = self.n, self.n_state_nodes, self.collocation_times
         guess = ocp.initial_guess(self.state_times)
@@ -239,29 +234,33 @@ class Transcript:
                 f"expected two arrays of {rows} rows and at least one column"
             )
         self._guess = self.pack(guess[0], guess[1][:n])
+        _check_value("initial_guess", self._guess, self._guess.shape)
         x, u = guess[0][:n], guess[1][:n]
         x0, xf = x[0], x[n - 1]
         self.n_x, self.n_u = n_x, n_u = x.shape[1], u.shape[1]
         boundary = ocp.boundary(x0, xf)
-        if np.ndim(boundary) > 1:
-            raise ValueError(f"boundary returned shape {np.shape(boundary)}, expected a vector")
         self.n_boundary = n_b = int(np.size(boundary))
-        _check_shapes("dynamics", (ocp.dynamics(tc, x, u),), (n, n_x))
-        jacobians = ocp.dynamics_jacobians(tc, x, u)
-        _check_shapes("dynamics_jacobians", jacobians, (n, n_x, n_x), (n, n_x, n_u))
-        _check_shapes("running_cost", (ocp.running_cost(tc, x, u),), (n,))
+        _check_value("boundary", np.atleast_1d(boundary), (n_b,))
+        _check_value("dynamics", ocp.dynamics(tc, x, u), (n, n_x))
+        _check_value("dynamics_jacobians", ocp.dynamics_jacobians(tc, x, u), (n, n_x, n_x + n_u))
+        _check_value("running_cost", ocp.running_cost(tc, x, u), (n,))
         gradients = ocp.running_cost_gradients(tc, x, u)
-        _check_shapes("running_cost_gradients", gradients, (n, n_x), (n, n_u))
-        jacobians = ocp.boundary_jacobians(x0, xf)
-        _check_shapes("boundary_jacobians", jacobians, (n_b, n_x), (n_b, n_x))
-        gradients = ocp.endpoint_cost_gradients(x0, xf)
-        _check_shapes("endpoint_cost_gradients", gradients, (n_x,), (n_x,))
+        _check_value("running_cost_gradients", gradients, (n, n_x + n_u))
+        _check_value("boundary_jacobian", ocp.boundary_jacobian(x0, xf), (n_b, 2 * n_x))
+        _check_value("endpoint_cost_gradient", ocp.endpoint_cost_gradient(x0, xf), (2 * n_x,))
 
 
-def _check_shapes(name, arrays, *expected):
-    shapes = tuple(np.shape(a) for a in arrays) if np.iterable(arrays) else np.shape(arrays)
-    if shapes != expected:
-        raise ValueError(f"{name} returned shapes {shapes}, expected {expected}")
+def _check_value(name, value, shape):
+    # numpy would broadcast a wrong shape into the program, and a
+    # non-finite value would surface later as a singular KKT matrix.
+    try:
+        array = np.asarray(value, dtype=float)
+    except ValueError:
+        raise ValueError(f"{name} returned arrays of unequal shapes, expected {shape}") from None
+    if array.shape != shape:
+        raise ValueError(f"{name} returned shape {array.shape}, expected {shape}")
+    if not np.all(np.isfinite(array)):
+        raise ValueError(f"{name} returned a non-finite value")
 
 
 def transcribe(ocp: OcpDefinition, ns: NodeSet, method: Method) -> Transcript:
@@ -350,7 +349,7 @@ def kkt_residuals(
 
     The four residuals are, node by node: the weighted state-equation
     defect; the adjoint equation driven by the dual matrix with the endpoint
-    costate jumps, ``g0 + J0^T nu`` at node 0 and ``gf + Jf^T nu`` at node
+    costate jumps, the x0 and xf parts of ``g + J^T nu`` at nodes 0 and
     N-1, from the one endpoint function phi + nu^T psi of both ends; the
     weighted combination of costates against the extra sample's matrix
     column, which must vanish for the costates to stay one degree below the
@@ -372,11 +371,11 @@ def kkt_residuals(
 
     tc = t.collocation_times
     f_all = ocp.dynamics(tc, states[:n], controls)
-    A, B = ocp.dynamics_jacobians(tc, states[:n], controls)
-    hx, hu = ocp.running_cost_gradients(tc, states[:n], controls)
+    F = ocp.dynamics_jacobians(tc, states[:n], controls)
+    h = ocp.running_cost_gradients(tc, states[:n], controls)
     scale = half * w[:, None]
-    grad_x = scale * (hx + np.einsum("kji,kj->ki", A, lam))
-    grad_u = scale * (hu + np.einsum("kji,kj->ki", B, lam))
+    grad = scale * (h + np.einsum("kji,kj->ki", F, lam))
+    grad_x, grad_u = grad[:, : t.n_x], grad[:, t.n_x :]
 
     # (a) weighted state-equation defect.
     defect = f_all - (D.entries @ states) / half
@@ -384,10 +383,10 @@ def kkt_residuals(
 
     # (b) adjoint equation with the endpoint jumps on the right-hand side.
     adjoint = grad_x + w[:, None] * (Ddual.entries @ lam)
-    g0, gf = ocp.endpoint_cost_gradients(states[0], states[n - 1])
-    J0, Jf = ocp.boundary_jacobians(states[0], states[n - 1])
-    adjoint[0] += g0 + J0.T @ nu
-    adjoint[n - 1] += gf + Jf.T @ nu
+    g = ocp.endpoint_cost_gradient(states[0], states[n - 1])
+    jump = g + ocp.boundary_jacobian(states[0], states[n - 1]).T @ nu
+    adjoint[0] += jump[: t.n_x]
+    adjoint[n - 1] += jump[t.n_x :]
     adjoint[n - 1] -= lam[n - 1]
     adjoint[0] += lam[0]
     res_adjoint = np.max(np.abs(adjoint))

@@ -611,7 +611,7 @@ def ivp_with_initial_rows(*targets):
     return replace(
         defn,
         boundary=lambda x0, xf: x0[0] - targets,
-        boundary_jacobians=lambda x0, xf: (np.ones((targets.size, 1)), np.zeros((targets.size, 1))),
+        boundary_jacobian=lambda x0, xf: np.tile([1.0, 0.0], (targets.size, 1)),
     )
 
 
@@ -640,14 +640,13 @@ def test_orbit_with_a_redundant_radius_row_converges(n):
     # r(0) = 1 once more, after the five initial rows.
     orbit = orbit_raising()
 
-    def jacobians(x0, xf):
-        J0, Jf = orbit.boundary_jacobians(x0, xf)
-        return np.insert(J0, 5, np.eye(5)[0], axis=0), np.insert(Jf, 5, 0.0, axis=0)
+    def jacobian(x0, xf):
+        return np.insert(orbit.boundary_jacobian(x0, xf), 5, np.eye(10)[0], axis=0)
 
     redundant = replace(
         orbit,
         boundary=lambda x0, xf: np.insert(orbit.boundary(x0, xf), 5, x0[0] - 1.0),
-        boundary_jacobians=jacobians,
+        boundary_jacobian=jacobian,
     )
     t = transcribe(redundant, lobatto_nodes(n), Method.NEW_LOBATTO)
     z, _, report = solve(t)
@@ -667,7 +666,7 @@ def test_unreachable_final_state_stalls_early():
     unreachable = replace(
         defn,
         boundary=lambda x0, xf: np.concatenate([x0 - 1.0, xf - 5.0]),
-        boundary_jacobians=lambda x0, xf: (np.eye(2, 1), np.eye(2, 1, -1)),
+        boundary_jacobian=lambda x0, xf: np.eye(2),
     )
     t = transcribe(unreachable, lobatto_nodes(10), Method.NEW_LOBATTO)
     with pytest.raises(MaxIterationsError) as err:

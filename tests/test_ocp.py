@@ -21,39 +21,40 @@ def central_diff_jacobian(fn, z, step=1e-6):
 
 
 def check_jacobians(defn: OcpDefinition, rng):
-    """FD cross-check of every analytic derivative at random interior points."""
+    """FD cross-check of every analytic derivative at random interior points.
+
+    Each derivative is taken over the concatenation of its callback's
+    vector arguments: (x, u) for the node callbacks, (x0, xf) for the
+    endpoint ones."""
     for _ in range(10):
         t = rng.uniform(defn.t0, defn.tf)
         x_g, u_g = defn.initial_guess(t)
         x = x_g + 0.1 * rng.standard_normal(x_g.shape)
         u = u_g + 0.1 * rng.standard_normal(u_g.shape)
+        xu, n_x = np.concatenate([x, u]), x.size
 
-        A, B = defn.dynamics_jacobians(t, x, u)
-        A_fd = central_diff_jacobian(lambda xx: defn.dynamics(t, xx, u), x)
-        B_fd = central_diff_jacobian(lambda uu: defn.dynamics(t, x, uu), u)
-        scale = 1.0 + np.abs(A_fd)
-        assert np.max(np.abs(A - A_fd) / scale) < 1e-5
-        assert np.max(np.abs(B - B_fd) / (1.0 + np.abs(B_fd))) < 1e-5
+        F = defn.dynamics_jacobians(t, x, u)
+        F_fd = central_diff_jacobian(lambda v: defn.dynamics(t, v[:n_x], v[n_x:]), xu)
+        assert F.shape == F_fd.shape
+        assert np.max(np.abs(F - F_fd) / (1.0 + np.abs(F_fd))) < 1e-5
 
-        hx, hu = defn.running_cost_gradients(t, x, u)
-        hx_fd = central_diff_jacobian(lambda xx: defn.running_cost(t, xx, u), x)[0]
-        hu_fd = central_diff_jacobian(lambda uu: defn.running_cost(t, x, uu), u)[0]
-        assert np.max(np.abs(hx - hx_fd)) < 1e-5
-        assert np.max(np.abs(hu - hu_fd)) < 1e-5
+        h = defn.running_cost_gradients(t, x, u)
+        h_fd = central_diff_jacobian(lambda v: defn.running_cost(t, v[:n_x], v[n_x:]), xu)[0]
+        assert h.shape == h_fd.shape
+        assert np.max(np.abs(h - h_fd)) < 1e-5
 
         # The endpoint callbacks read two end states: x and a second point.
         xf = x + 0.1 * rng.standard_normal(x.shape)
-        g0, gf = defn.endpoint_cost_gradients(x, xf)
-        g0_fd = central_diff_jacobian(lambda xx: defn.endpoint_cost(xx, xf), x)[0]
-        gf_fd = central_diff_jacobian(lambda xx: defn.endpoint_cost(x, xx), xf)[0]
-        assert np.max(np.abs(g0 - g0_fd)) < 1e-5
-        assert np.max(np.abs(gf - gf_fd)) < 1e-5
+        ends = np.concatenate([x, xf])
+        g = defn.endpoint_cost_gradient(x, xf)
+        g_fd = central_diff_jacobian(lambda v: defn.endpoint_cost(v[:n_x], v[n_x:]), ends)[0]
+        assert g.shape == g_fd.shape
+        assert np.max(np.abs(g - g_fd)) < 1e-5
 
-        J0, Jf = defn.boundary_jacobians(x, xf)
-        J0_fd = central_diff_jacobian(lambda xx: defn.boundary(xx, xf), x)
-        Jf_fd = central_diff_jacobian(lambda xx: defn.boundary(x, xx), xf)
-        assert np.max(np.abs(J0 - J0_fd)) < 1e-5
-        assert np.max(np.abs(Jf - Jf_fd) / (1.0 + np.abs(Jf_fd))) < 1e-5
+        J = defn.boundary_jacobian(x, xf)
+        J_fd = central_diff_jacobian(lambda v: defn.boundary(v[:n_x], v[n_x:]), ends)
+        assert J.shape == J_fd.shape
+        assert np.max(np.abs(J - J_fd)) < 1e-5
 
 
 class TestOrbitRaising:
@@ -67,10 +68,10 @@ class TestOrbitRaising:
         assert self.defn.tf == 3.32
         # Five initial rows, then two final rows.
         assert self.defn.boundary(x[0], x[1]).shape == (7,)
-        J0, Jf = self.defn.boundary_jacobians(x[0], x[1])
-        assert J0.shape == Jf.shape == (7, 5)
-        np.testing.assert_array_equal(J0[5:], 0.0)
-        np.testing.assert_array_equal(Jf[:5], 0.0)
+        J = self.defn.boundary_jacobian(x[0], x[1])
+        assert J.shape == (7, 10)
+        np.testing.assert_array_equal(J[5:, :5], 0.0)
+        np.testing.assert_array_equal(J[:5, 5:], 0.0)
 
     def test_dynamics_at_departure(self):
         x0 = np.array([1.0, 0.0, 0.0, 1.0, 1.0])
@@ -85,9 +86,9 @@ class TestOrbitRaising:
 
     def test_mass_row_of_jacobian_vanishes(self):
         x = np.array([1.2, 0.8, 0.1, 0.9, 0.9])
-        A, B = self.defn.dynamics_jacobians(1.0, x, np.array([0.7]))
-        np.testing.assert_array_equal(A[4], 0.0)
-        assert B[4, 0] == 0.0
+        F = self.defn.dynamics_jacobians(1.0, x, np.array([0.7]))
+        assert F.shape == (5, 6)
+        np.testing.assert_array_equal(F[4], 0.0)
 
     def test_terminal_boundary_on_circular_orbit(self):
         # A circular orbit at radius 4 has speed 1/2 with mu = 1.
@@ -151,10 +152,10 @@ class TestNonlinearIvp:
             xdot_true = -30.0 * e / (1.0 + 3.0 * e) ** 2
             lamdot_true = -2.5 * (9.0 * e - 1.0 / e) / (6 + 9 * np.e**5 + np.e**-5)
             f = self.defn.dynamics(t, x, u)[0]
-            A, B = self.defn.dynamics_jacobians(t, x, u)
+            (f_x, f_u), = self.defn.dynamics_jacobians(t, x, u)
             assert abs(f - xdot_true) < 1e-9
-            assert abs(-lam * A[0, 0] - lamdot_true) < 1e-9
-            assert abs(lam * B[0, 0]) < 1e-9
+            assert abs(-lam * f_x - lamdot_true) < 1e-9
+            assert abs(lam * f_u) < 1e-9
 
     def test_boundary_residual(self):
         # One initial row, and no final row: x(2) only enters the cost.
@@ -214,16 +215,10 @@ class TestValidation:
         with pytest.raises(ValueError, match="tf > t0"):
             replace(defn, t0=t0, tf=tf)
 
-    # An endpoint cost that reads one end only, with its gradient pair.
+    # An endpoint cost that reads one end only, with its gradient over (x0, xf).
     ONE_END_COSTS = {
-        "initial": (
-            lambda x0, xf: x0[0],
-            lambda x0, xf: (np.array([1.0]), np.zeros(1)),
-        ),
-        "final": (
-            lambda x0, xf: -xf[0],
-            lambda x0, xf: (np.zeros(1), np.array([-1.0])),
-        ),
+        "initial": (lambda x0, xf: x0[0], lambda x0, xf: np.array([1.0, 0.0])),
+        "final": (lambda x0, xf: -xf[0], lambda x0, xf: np.array([0.0, -1.0])),
     }
 
     # The endpoint cases are named after the end their cost reads.
@@ -239,19 +234,19 @@ class TestValidation:
                 id="running_cost_gradients-running_cost",
             ),
             pytest.param(
-                "endpoint_cost", "endpoint_cost_gradients", "initial",
+                "endpoint_cost", "endpoint_cost_gradient", "initial",
                 id="endpoint_cost_initial-endpoint_cost_initial_gradient",
             ),
             pytest.param(
-                "endpoint_cost_gradients", "endpoint_cost", "initial",
+                "endpoint_cost_gradient", "endpoint_cost", "initial",
                 id="endpoint_cost_initial_gradient-endpoint_cost_initial",
             ),
             pytest.param(
-                "endpoint_cost", "endpoint_cost_gradients", "final",
+                "endpoint_cost", "endpoint_cost_gradient", "final",
                 id="endpoint_cost_final-endpoint_cost_final_gradient",
             ),
             pytest.param(
-                "endpoint_cost_gradients", "endpoint_cost", "final",
+                "endpoint_cost_gradient", "endpoint_cost", "final",
                 id="endpoint_cost_final_gradient-endpoint_cost_final",
             ),
         ],
@@ -261,12 +256,12 @@ class TestValidation:
         # default: README's example then "converges" at iteration 0.
         defn, _ = nonlinear_ivp()
         kwargs = {f.name: getattr(defn, f.name) for f in fields(defn)}
-        cost, gradients = self.ONE_END_COSTS[end]
+        cost, gradient = self.ONE_END_COSTS[end]
         kwargs.update(
             running_cost=lambda t, x, u: 0.5 * u[..., 0] ** 2,
-            running_cost_gradients=lambda t, x, u: (np.zeros(np.shape(x)), u),
+            running_cost_gradients=lambda t, x, u: np.concatenate([np.zeros(np.shape(x)), u], -1),
             endpoint_cost=cost,
-            endpoint_cost_gradients=gradients,
+            endpoint_cost_gradient=gradient,
         )
         OcpDefinition(**kwargs)
         del kwargs[missing]

@@ -32,14 +32,11 @@ def constant_problem(n_x=2, value=0.0):
         t0=0.0,
         tf=1.0,
         dynamics=lambda t, x, u: np.full(np.shape(x), value),
-        dynamics_jacobians=lambda t, x, u: (
-            np.zeros(np.shape(x) + (n_x,)),
-            np.zeros(np.shape(x) + (1,)),
-        ),
+        dynamics_jacobians=lambda t, x, u: np.zeros(np.shape(x) + (n_x + 1,)),
         running_cost=lambda t, x, u: np.ones(np.shape(t)),
-        running_cost_gradients=lambda t, x, u: (np.zeros(np.shape(x)), np.zeros(np.shape(u))),
+        running_cost_gradients=lambda t, x, u: np.zeros(np.shape(t) + (n_x + 1,)),
         boundary=lambda x0, xf: x0 - 1.0,
-        boundary_jacobians=lambda x0, xf: (np.eye(n_x), np.zeros((n_x, n_x))),
+        boundary_jacobian=lambda x0, xf: np.eye(n_x, 2 * n_x),
         initial_guess=lambda t: (np.ones(np.shape(t) + (n_x,)), np.zeros(np.shape(t) + (1,))),
     )
 
@@ -202,13 +199,14 @@ def reference_callbacks(t: Transcript, z):
     ocp, n = t.ocp, t.n
     tc = t.collocation_times
     scale = t.half_dt * t.ns.weights[:, None]
-    hx, hu = ocp.running_cost_gradients(tc, states[:n], controls)
+    n_x = t.n_x
+    h = ocp.running_cost_gradients(tc, states[:n], controls)
     g_states = np.zeros_like(states)
-    g_states[:n] = scale * hx
-    g0, gf = ocp.endpoint_cost_gradients(states[0], states[n - 1])
-    g_states[0] += g0
-    g_states[n - 1] += gf
-    gradient = t.pack(g_states, scale * hu)
+    g_states[:n] = scale * h[:, :n_x]
+    g = ocp.endpoint_cost_gradient(states[0], states[n - 1])
+    g_states[0] += g[:n_x]
+    g_states[n - 1] += g[n_x:]
+    gradient = t.pack(g_states, scale * h[:, n_x:])
 
     defects = ocp.dynamics(tc, states[:n], controls) - (t.diff.entries @ states) / t.half_dt
     constraints = np.concatenate(
@@ -218,14 +216,14 @@ def reference_callbacks(t: Transcript, z):
         ]
     )
 
-    A, B = ocp.dynamics_jacobians(tc, states[:n], controls)
+    F = ocp.dynamics_jacobians(tc, states[:n], controls)
     J = np.zeros((t.n_constraints, t.n_z))
-    J[: t.n_defect, : t.n_state_vars] = -np.kron(t.diff.entries, np.eye(t.n_x)) / t.half_dt
-    J[: t.n_defect, : t.n_defect] += block_diagonal(A)
-    J[: t.n_defect, t.n_state_vars :] = block_diagonal(B)
-    J0, Jf = ocp.boundary_jacobians(states[0], states[n - 1])
-    J[t.n_defect :, : t.n_x] = J0
-    J[t.n_defect :, t.n_defect - t.n_x : t.n_defect] = Jf
+    J[: t.n_defect, : t.n_state_vars] = -np.kron(t.diff.entries, np.eye(n_x)) / t.half_dt
+    J[: t.n_defect, : t.n_defect] += block_diagonal(F[..., :n_x])
+    J[: t.n_defect, t.n_state_vars :] = block_diagonal(F[..., n_x:])
+    Jb = ocp.boundary_jacobian(states[0], states[n - 1])
+    J[t.n_defect :, :n_x] = Jb[:, :n_x]
+    J[t.n_defect :, t.n_defect - n_x : t.n_defect] = Jb[:, n_x:]
     return gradient, constraints, J
 
 
@@ -420,33 +418,53 @@ class TestConstructionValidation:
         from dataclasses import replace
 
         # Each wrong shape would broadcast into the constraints, Jacobian or
-        # gradient without error: a one-row final Jacobian fills all of the
-        # orbit's rows, a one-entry gradient every state component.  The
+        # gradient without error: a one-row boundary Jacobian fills all of
+        # the orbit's rows, a one-entry gradient every state component.  The
         # boundary map sets the row count, so a 6-entry boundary is blamed
-        # on its 7-row Jacobians, and only a 2-D value on the map.
+        # on its 7-row Jacobian, and only a 2-D value on the map.
         defn = orbit_raising()
         for value, blamed in [
-            (np.zeros(6), "boundary_jacobians"),
+            (np.zeros(6), "boundary_jacobian"),
             (np.zeros((7, 1)), "boundary"),
             (np.zeros((1, 2)), "boundary"),
         ]:
             broken = replace(defn, boundary=lambda x0, xf, value=value: value)
             with pytest.raises(ValueError, match=f"^{blamed} returned"):
                 transcribe(broken, lobatto_nodes(5), Method.NEW_LOBATTO)
-        J0, Jf = defn.boundary_jacobians(np.ones(5), np.ones(5))
-        g0, gf = defn.endpoint_cost_gradients(np.ones(5), np.ones(5))
+        J = defn.boundary_jacobian(np.ones(5), np.ones(5))
+        g = defn.endpoint_cost_gradient(np.ones(5), np.ones(5))
         for field, value in [
-            ("boundary_jacobians", (J0[:1], Jf)),
-            ("boundary_jacobians", (J0, np.zeros((1, 5)))),
-            ("boundary_jacobians", (J0, np.zeros((7, 1)))),
-            # One array in place of the pair.
-            ("boundary_jacobians", J0),
-            ("endpoint_cost_gradients", (np.zeros(1), gf)),
-            ("endpoint_cost_gradients", (g0, np.array([-1.0]))),
-            ("endpoint_cost_gradients", gf),
-            ("endpoint_cost_gradients", -1.0),
+            ("boundary_jacobian", J[:1]),
+            ("boundary_jacobian", J[:, :5]),
+            ("boundary_jacobian", J[:, :6]),
+            ("endpoint_cost_gradient", g[5:]),
+            ("endpoint_cost_gradient", g[:1]),
+            ("endpoint_cost_gradient", -1.0),
         ]:
-            broken = replace(defn, **{field: lambda x0, xf, value=value: value})
+            broken = replace(defn, **{field: lambda *args, value=value: value})
+            with pytest.raises(ValueError, match=f"^{field} returned"):
+                transcribe(broken, lobatto_nodes(5), Method.NEW_LOBATTO)
+
+        # The two-array form of each derivative: a pair of equal shapes
+        # stacks to the wrong shape, and a ragged one, such as the orbit's
+        # (A, B) with n_u != n_x, to none at all.
+        def pair(callback, n_x):
+            def split(*args):
+                value = callback(*args)
+                return value[..., :n_x], value[..., n_x:]
+
+            return split
+
+        ivp, _ = nonlinear_ivp()
+        for problem, n_x, field in [
+            (defn, 5, "dynamics_jacobians"),
+            (defn, 5, "boundary_jacobian"),
+            (defn, 5, "endpoint_cost_gradient"),
+            (ivp, 1, "dynamics_jacobians"),
+            (ivp, 1, "endpoint_cost_gradient"),
+            (coupled_lq_problem(), 1, "running_cost_gradients"),
+        ]:
+            broken = replace(problem, **{field: pair(getattr(problem, field), n_x)})
             with pytest.raises(ValueError, match=f"^{field} returned"):
                 transcribe(broken, lobatto_nodes(5), Method.NEW_LOBATTO)
 
@@ -479,6 +497,27 @@ class TestConstructionValidation:
         with pytest.raises(ValueError, match="^initial_guess returned"):
             transcribe(replace(defn, initial_guess=guess), lobatto_nodes(5), Method.NEW_LOBATTO)
 
+    @pytest.mark.parametrize("method", list(Method))
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("initial_guess", lambda t: (np.full((t.size, 1), np.inf), np.ones((t.size, 1)))),
+            ("dynamics", lambda t, x, u: np.full(np.shape(x), np.nan)),
+            ("endpoint_cost_gradient", lambda x0, xf: np.full(2, np.nan)),
+        ],
+        ids=["inf-guess", "nan-dynamics", "nan-endpoint-cost-gradient"],
+    )
+    def test_non_finite_value_rejected(self, field, value, method):
+        # Each got past construction and stopped the solver with an error
+        # that named another cause: the starting lstsq's SVD did not
+        # converge, or the KKT matrix was singular at iteration 0.
+        from dataclasses import replace
+
+        defn, _ = nonlinear_ivp()
+        broken = replace(defn, **{field: value})
+        with pytest.raises(ValueError, match=f"^{field} returned a non-finite value$"):
+            transcribe(broken, lobatto_nodes(12), method)
+
     def test_dimensions_come_from_the_callbacks(self):
         orbit = transcribe(orbit_raising(), lobatto_nodes(5), Method.NEW_LOBATTO)
         assert (orbit.n_x, orbit.n_u, orbit.n_boundary) == (5, 1, 7)
@@ -498,10 +537,7 @@ def decay_problem(x_guess=1.0, **ends):
         t0=0.0,
         tf=1.0,
         dynamics=lambda t, x, u: u - x,
-        dynamics_jacobians=lambda t, x, u: (
-            np.full(np.shape(x) + (1,), -1.0),
-            np.ones(np.shape(u) + (1,)),
-        ),
+        dynamics_jacobians=lambda t, x, u: np.tile([-1.0, 1.0], np.shape(x) + (1,)),
         initial_guess=lambda t: (
             np.full(np.shape(t) + (1,), x_guess),
             np.zeros(np.shape(t) + (1,)),
@@ -516,11 +552,11 @@ def coupled_lq_problem():
     both ends.  Both ends are then fixed, so x(t) = 0.5 sinh(t) / sinh(1)."""
     return decay_problem(
         running_cost=lambda t, x, u: 0.5 * u[..., 0] ** 2,
-        running_cost_gradients=lambda t, x, u: (np.zeros(np.shape(x)), u),
+        running_cost_gradients=lambda t, x, u: np.concatenate([np.zeros(np.shape(x)), u], -1),
         endpoint_cost=lambda x0, xf: -xf[0],
-        endpoint_cost_gradients=lambda x0, xf: (np.zeros(1), np.array([-1.0])),
+        endpoint_cost_gradient=lambda x0, xf: np.array([0.0, -1.0]),
         boundary=lambda x0, xf: np.array([x0[0], xf[0] - x0[0] - 0.5]),
-        boundary_jacobians=lambda x0, xf: (np.array([[1.0], [-1.0]]), np.array([[0.0], [1.0]])),
+        boundary_jacobian=lambda x0, xf: np.array([[1.0, 0.0], [-1.0, 1.0]]),
         x_guess=0.0,
     )
 
@@ -559,7 +595,7 @@ class TestRowsThatReadBothEnds:
         # (x0, xf) and (xf, x0), and the two end blocks stay zero.
         problem = decay_problem(
             boundary=lambda x0, xf: np.array([x0[0] - 1.0, x0[0] * xf[0] - 0.5]),
-            boundary_jacobians=lambda x0, xf: (np.array([[1.0], xf]), np.array([[0.0], x0])),
+            boundary_jacobian=lambda x0, xf: np.array([[1.0, 0.0], [xf[0], x0[0]]]),
         )
         t = transcribe(problem, lobatto_nodes(8), method)
         rng = np.random.default_rng(0)
@@ -592,14 +628,11 @@ class TestRowsThatReadBothEnds:
 
         problem = decay_problem(
             running_cost=lambda t, x, u: 0.5 * u[..., 0] ** 2,
-            running_cost_gradients=lambda t, x, u: (np.zeros(np.shape(x)), u),
+            running_cost_gradients=lambda t, x, u: np.concatenate([np.zeros(np.shape(x)), u], -1),
             endpoint_cost=lambda x0, xf: 5.0 * misfit(x0, xf) ** 2,
-            endpoint_cost_gradients=lambda x0, xf: (
-                10.0 * misfit(x0, xf) * xf,
-                10.0 * misfit(x0, xf) * x0,
-            ),
+            endpoint_cost_gradient=lambda x0, xf: 10.0 * misfit(x0, xf) * np.concatenate([xf, x0]),
             boundary=lambda x0, xf: x0 - 1.0,
-            boundary_jacobians=lambda x0, xf: (np.eye(1), np.zeros((1, 1))),
+            boundary_jacobian=lambda x0, xf: np.array([[1.0, 0.0]]),
         )
         t = transcribe(problem, lobatto_nodes(n), method)
         z, _, report = solve(t)
