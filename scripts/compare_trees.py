@@ -7,10 +7,12 @@ Usage::
 Extracts REV's ``src/`` with ``git archive`` into a temporary directory,
 runs this checkout's ``dump_solves.py`` and ``dump_cli_outputs.py`` on
 REV's source tree and on this checkout's (working files, uncommitted
-changes included), both with ``OPENBLAS_NUM_THREADS=1`` (the orbit solves'
-last bits depend on the thread count), and prints every differing line as
-a unified diff.  Exits 0 when every output is identical and 1 otherwise.
-Uses the standard library only.
+changes included), and prints every differing line as a unified diff.  It
+does so twice: with ``OPENBLAS_NUM_THREADS=1``, and with the variable unset,
+the benchmark's setting (the orbit solves' last bits depend on the thread
+count, so each setting compares the trees only with each other).  Exits 0
+when every output is identical under both settings and 1 otherwise.  Uses
+the standard library only.
 """
 
 from __future__ import annotations
@@ -39,9 +41,16 @@ def extract_src(rev: str, dest: Path) -> Path:
     return dest / "src"
 
 
-def dump(src: Path, out: Path) -> None:
+# Label and OPENBLAS_NUM_THREADS value (None: unset) of each comparison.
+THREAD_SETTINGS = [("OPENBLAS_NUM_THREADS=1", "1"), ("OPENBLAS_NUM_THREADS unset", None)]
+
+
+def dump(src: Path, out: Path, threads) -> None:
     """Write ``solves.txt`` and the ``cli`` folder of one source tree."""
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=str(src))
+    env = dict(os.environ, PYTHONPATH=str(src))
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    if threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = threads
     out.mkdir()
     with open(out / "solves.txt", "w", encoding="utf-8") as solves:
         subprocess.run(
@@ -86,13 +95,19 @@ def main(argv: list) -> int:
         print(__doc__.strip(), file=sys.stderr)
         return 2
     (rev,) = argv
+    failed = False
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
-        dump(extract_src(rev, tmp / "tree"), tmp / "old")
-        dump(ROOT / "src", tmp / "new")
-        differing = diff_trees(rev, tmp / "old", tmp / "new")
-    print(f"{differing} output file(s) differ" if differing else "all outputs identical")
-    return 1 if differing else 0
+        old_src = extract_src(rev, tmp / "tree")
+        for k, (label, threads) in enumerate(THREAD_SETTINGS):
+            print(f"== {label}")
+            old, new = tmp / f"old{k}", tmp / f"new{k}"
+            dump(old_src, old, threads)
+            dump(ROOT / "src", new, threads)
+            differing = diff_trees(rev, old, new)
+            print(f"{differing} output file(s) differ" if differing else "all outputs identical")
+            failed = failed or differing > 0
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":

@@ -5,7 +5,8 @@ writes, per command, its stdout, stderr, exit code and any CSV it wrote
 into OUTDIR.  Compare two checkouts at the same BLAS thread count (the
 orbit solve's last bits depend on it); ``python3 scripts/compare_trees.py
 REV`` runs this script and ``dump_solves.py`` on REV's source and on this
-checkout's with ``OPENBLAS_NUM_THREADS=1`` and prints the differing lines.
+checkout's, once with ``OPENBLAS_NUM_THREADS=1`` and once with it unset,
+and prints the differing lines.
 
 The commands: ``nodes`` and ``diffmat --check`` (all three kinds) for
 N=3..50; ``solve`` for the IVP at N=10 and 25 (augmented), at N=11

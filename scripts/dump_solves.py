@@ -11,8 +11,9 @@ leading-coefficient gate ratio and the boundary residual.  Every float is
 written with ``%.17g``, so equal lines mean bit-identical results.  Compare
 two checkouts at the same BLAS thread count (the orbit solves' last bits
 depend on it); ``python3 scripts/compare_trees.py REV`` runs this script and
-``dump_cli_outputs.py`` on REV's source and on this checkout's with
-``OPENBLAS_NUM_THREADS=1`` and prints the differing lines.
+``dump_cli_outputs.py`` on REV's source and on this checkout's, once with
+``OPENBLAS_NUM_THREADS=1`` and once with it unset, and prints the differing
+lines.
 """
 
 from __future__ import annotations

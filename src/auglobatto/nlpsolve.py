@@ -8,8 +8,9 @@ Each iteration assembles the KKT system
 with H the Lagrangian Hessian, J the constraint Jacobian, and c the
 constraint values.  The solver reads the problem only through the
 transcript: its guess, its objective gradient, constraint values and
-Jacobian, its Lagrangian Hessian (``Transcript.hessian``, from the gradient
-the solver already holds), its size ``n_z`` and its ``full_row_rank`` flag.
+Jacobian, at one point or at a stack of points (``evaluate_many``), its
+Lagrangian Hessian (``Transcript.hessian``, from the gradient the solver
+already holds), its size ``n_z`` and its ``full_row_rank`` flag.
 
 The regularization delta runs through 0, delta_0, 2 delta_0, ... until the
 factorization has the inertia of a constrained minimizer and the line search
@@ -42,10 +43,20 @@ more than 2 line searches, while the rank-deficient square transcripts that
 end singular fail 23 to 33 in one step, each a full backtracking run.
 
 Each point is evaluated once: an accepted line-search trial's gradient,
-Jacobian, constraint values and KKT vector carry into the next step.  Every
-constant is fixed: the KKT tolerance ``_KKT_TOLERANCE`` (1e-10) and the
-iteration budget ``_MAX_ITERATIONS`` (200) alongside the regularization,
-line-search, stall and failed-search ones.
+Jacobian, constraint values and KKT vector carry into the next step.  The
+line search backtracks on the fixed halving sequence 1, 1/2, ..., 2^-39
+(Armijo; Nocedal & Wright 2006, section 3.1), so it knows its trial points
+in advance.  Step length 1 is evaluated alone, since most steps take it.
+Once it fails, the shorter steps are evaluated in stacks, one
+``evaluate_many`` call each: 4, then 16, then the remaining 19, each cut so
+that its Jacobians hold at most ``_BATCH_ENTRIES`` (2^16) entries, which is
+one row at orbit N=45, 3 at N=25 and no cut on the IVP.  The first trial
+that passes the Armijo test is taken, so the steps and iterates are those
+of one trial at a time; only the rest of the accepting stack is extra work.
+
+Every constant is fixed: the KKT tolerance ``_KKT_TOLERANCE`` (1e-10) and
+the iteration budget ``_MAX_ITERATIONS`` (200) alongside the
+regularization, line-search, stall and failed-search ones.
 
 A solve that has stalled stops before the budget runs out.  The report keeps
 the gradient and constraint residuals of every iterate, and when, over the
@@ -71,6 +82,14 @@ _REGULARIZATION_INITIAL = 1e-8
 _REGULARIZATION_CAP = 1e8
 _LINE_SEARCH_SHRINK = 0.5
 _MIN_STEP = 1e-12
+# The line search's step lengths 1, 1/2, 1/4, ..., 2^-39: every halving
+# down to _MIN_STEP.
+_STEP_LENGTHS = _LINE_SEARCH_SHRINK ** np.arange(
+    1 + int(np.log(_MIN_STEP) / np.log(_LINE_SEARCH_SHRINK))
+)
+_BACKTRACK_BATCHES = (4, 16)
+# Jacobian entries a stack of trials may hold: one row at orbit N=45.
+_BATCH_ENTRIES = 2**16
 _STALL_WINDOW = 20
 _MAX_FAILED_SEARCHES = 8
 _KKT_TOLERANCE = 1e-10
@@ -180,6 +199,52 @@ def _stall(residuals, tolerance):
             for k in np.flatnonzero(stuck)
         ]
     )
+
+
+def _sufficient_decrease(trial_merit, alpha, merit):
+    """The Armijo test of a trial's KKT norm at step length ``alpha``, for
+    one trial or elementwise for a stack."""
+    return np.isfinite(trial_merit) & (trial_merit <= merit * (1.0 - 1e-4 * alpha))
+
+
+def _line_search(t, z, mult, dz, dm, merit, rows):
+    """The first step length along (dz, dm) that passes the Armijo test on
+    the KKT norm ``merit``, with its iterate, multipliers, point, KKT vector
+    and merit; None when none does.
+
+    Step length 1 is tried alone, at one point.  The shorter ones are
+    evaluated in stacks (``Transcript.evaluate_many``), ``_BACKTRACK_BATCHES``
+    (4, then 16) and then the rest, each cut to ``rows``, and tested in
+    order, so the step taken is the one a trial at a time would take; only
+    the rest of the accepting stack is wasted.  The stacked products below
+    make the same BLAS calls per row as ``_kkt_vector`` and
+    ``np.linalg.norm``, so every merit is bit-equal to a single trial's.
+    """
+    trial_z, trial_mult = z + dz, mult + dm
+    point = _evaluate(t, trial_z)
+    kkt = _kkt_vector(point, trial_mult)
+    trial_merit = np.linalg.norm(kkt)
+    if _sufficient_decrease(trial_merit, 1.0, merit):
+        return 1.0, trial_z, trial_mult, point, kkt, trial_merit
+    sizes = iter(_BACKTRACK_BATCHES)
+    start = 1
+    while start < _STEP_LENGTHS.size:
+        stop = start + min(next(sizes, _STEP_LENGTHS.size), rows)
+        batch = _STEP_LENGTHS[start:stop]
+        start = stop
+        trial_zs = z + batch[:, None] * dz
+        trial_mults = mult + batch[:, None] * dm
+        gradients, jacobians, values = t.evaluate_many(trial_zs)
+        products = jacobians.transpose(0, 2, 1) @ trial_mults[:, :, None]
+        kkts = np.concatenate([gradients + products[:, :, 0], values], axis=1)
+        merits = np.sqrt(kkts[:, None, :] @ kkts[:, :, None]).reshape(batch.size)
+        passed = _sufficient_decrease(merits, batch, merit)
+        if passed.any():
+            k = int(np.argmax(passed))
+            point = (gradients[k], jacobians[k], values[k])
+            kkt = _kkt_vector(point, trial_mults[k])
+            return float(batch[k]), trial_zs[k], trial_mults[k], point, kkt, merits[k]
+    return None
 
 
 def _regularizations():
@@ -313,6 +378,7 @@ def solve(t: Transcript):
     # multipliers would leave a linear objective with a vanishing Lagrangian
     # Hessian and a degenerate first KKT system.
     mult, kkt = _multiplier_estimate(point)
+    rows = max(1, _BATCH_ENTRIES // point[1].size)
 
     report = SolveReport(converged=False)
 
@@ -344,17 +410,8 @@ def solve(t: Transcript):
             )
             if step is None:
                 continue
-            dz, dm = step[:n], step[n:]
-            alpha = 1.0
-            while alpha >= _MIN_STEP:
-                trial_z, trial_mult = z + alpha * dz, mult + alpha * dm
-                trial_point = _evaluate(t, trial_z)
-                trial_kkt = _kkt_vector(trial_point, trial_mult)
-                trial_merit = np.linalg.norm(trial_kkt)
-                if np.isfinite(trial_merit) and trial_merit <= merit * (1.0 - 1e-4 * alpha):
-                    break
-                alpha *= _LINE_SEARCH_SHRINK
-            else:
+            found = _line_search(t, z, mult, step[:n], step[n:], merit, rows)
+            if found is None:
                 failed_searches += 1
                 if failed_searches == _MAX_FAILED_SEARCHES:
                     raise SingularKktError(
@@ -363,7 +420,7 @@ def solve(t: Transcript):
                         f"regularizations up to {delta:.1e}",
                     )
                 continue
-            z, mult, point, kkt = trial_z, trial_mult, trial_point, trial_kkt
+            alpha, z, mult, point, kkt, trial_merit = found
             if dual_shifted:
                 # The shifted dual block leaves a residual floor at the shift
                 # size; a least-squares multiplier refresh, which can only shrink

@@ -29,9 +29,9 @@ class QuadraticProbe:
     point; the default curvature gives min ||z||^2.
 
     Quacks like a Transcript as far as the solver cares: it only needs the
-    guess, the size, the rank flag and the four callbacks.  The Lagrangian
-    Hessian is exactly curvature * I.  The rank flag is that of A, the
-    constraint Jacobian.
+    guess, the size, the rank flag, the four callbacks and their stacked
+    form.  The Lagrangian Hessian is exactly curvature * I.  The rank flag
+    is that of A, the constraint Jacobian.
     """
 
     def __init__(self, A, b, guess, curvature=2.0):
@@ -56,6 +56,10 @@ class QuadraticProbe:
 
     def hessian(self, z, mult, gradient):
         return self.curvature * np.eye(self.n_z)
+
+    def evaluate_many(self, Z):
+        callbacks = (self.objective_gradient, self.jacobian, self.constraints)
+        return tuple(np.array([f(z) for z in Z]) for f in callbacks)
 
 
 def pin_first_coordinate(n=3, guess=None):
@@ -410,27 +414,80 @@ def test_accepted_merits_decrease(ivp_n15):
 
 
 def test_each_point_is_evaluated_once():
-    # The guess and every line-search trial get one gradient, one Jacobian
-    # and one constraint evaluation; an accepted trial's values carry into
-    # the next Newton step.  The grouped Hessian adds n_x + n_u = 2
-    # Lagrangian gradients per step and no constraint evaluations.
-    t = transcribe(nonlinear_ivp()[0], lobatto_nodes(6), Method.NEW_LOBATTO)
-    calls = {"objective_gradient": 0, "jacobian": 0, "constraints": 0}
-    for name in calls:
-        method = getattr(t, name)
+    # Augmented N=9 fails a line search at one regularization of a step.
+    for method, n in [
+        (Method.NEW_LOBATTO, 6),
+        (Method.NEW_LOBATTO, 9),
+        (Method.STANDARD_LOBATTO, 6),
+    ]:
+        searches, report = check_line_search_evaluations(method, n)
+        assert (searches > report.iterations) == (n == 9)
 
-        def counting(z, name=name, method=method):
+
+def check_line_search_evaluations(method, n):
+    """Solve the IVP with every evaluation recorded and check each Newton
+    step's; return the number of line searches and the report."""
+    # The guess and every line-search trial up to the accepted one get one
+    # gradient, one Jacobian and one constraint evaluation, at one point or
+    # as a row of evaluate_many; an accepted trial's values carry into the
+    # next Newton step, and the only rows past it are the rest of its stack.
+    # The grouped Hessian adds n_x + n_u = 2 single-point Lagrangian
+    # gradients per step and no constraint evaluations.
+    t = transcribe(nonlinear_ivp()[0], lobatto_nodes(n), method)
+    calls = {"objective_gradient": 0, "jacobian": 0, "constraints": 0}
+    events = []  # ("hessian", z) per Newton step, ("stack", rows) per evaluation
+    for name in calls:
+        original = getattr(t, name)
+
+        def counting(z, name=name, original=original):
             calls[name] += 1
-            return method(z)
+            if name == "constraints":
+                events.append(("stack", [np.array(z)]))
+            return original(z)
 
         setattr(t, name, counting)
-    _, _, report = solve(t)
+    evaluate_many, hessian = t.evaluate_many, t.hessian
+    t.evaluate_many = lambda Z: events.append(("stack", list(Z))) or evaluate_many(Z)
+    t.hessian = lambda z, *args: events.append(("hessian", np.array(z))) or hessian(z, *args)
+    z_final, _, report = solve(t)
     assert report.converged
-    # Each accepted step length alpha = 2^-k was the (k + 1)-th trial.
-    trials = sum(1 + round(-np.log2(alpha)) for _, _, alpha in report.step_history)
-    assert calls["constraints"] == 1 + trials
-    assert calls["objective_gradient"] == 1 + trials + 2 * report.iterations
+    assert len(report.step_history) == report.iterations
+
+    assert events[0][0] == "stack" and len(events[0][1]) == 1  # the guess
+    steps = [k for k, (kind, _) in enumerate(events) if kind == "hessian"]
+    assert len(steps) == report.iterations
+    lengths = nlpsolve._STEP_LENGTHS.size  # 1, 1/2, ..., 2^-39
+    searches = 0
+    for step, (begin, end) in enumerate(zip(steps, steps[1:] + [len(events)])):
+        z = events[begin][1]
+        # One line search per regularization tried; all but the last found
+        # no step length after trying each.
+        by_search = []
+        for _, rows in events[begin + 1 : end]:
+            if not by_search or sum(map(len, by_search[-1])) == lengths:
+                by_search.append([])
+            by_search[-1].append(rows)
+        searches += len(by_search)
+        for stacks in by_search:
+            sizes = [len(rows) for rows in stacks]
+            # Step length 1 alone, then stacks of 4 and 16 and the rest.
+            assert sizes == [1, 4, 16, 19][: len(sizes)]
+            trials = [row for rows in stacks for row in rows]
+            dz = trials[0] - z
+            for k, trial in enumerate(trials):
+                np.testing.assert_allclose(trial, z + 0.5**k * dz, rtol=0, atol=1e-14)
+        for stacks in by_search[:-1]:
+            assert sum(map(len, stacks)) == lengths
+        # The last search's trials run to the end of the accepted one's stack.
+        accepted = round(-np.log2(report.step_history[step][2]))
+        assert len(trials) == next(k for k in np.cumsum(sizes) if k > accepted)
+        # The accepted trial is the next iterate, whose Hessian comes next.
+        following = events[end][1] if end < len(events) else z_final
+        np.testing.assert_array_equal(trials[accepted], following)
+    assert calls["constraints"] == 1 + searches
+    assert calls["objective_gradient"] == 1 + searches + 2 * report.iterations
     assert calls["jacobian"] == calls["objective_gradient"]
+    return searches, report
 
 
 def test_max_iterations_carries_report(monkeypatch):

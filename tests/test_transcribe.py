@@ -248,6 +248,61 @@ def test_callbacks_equal_the_block_diagonal_assembly(factory, n, method):
         assert np.array_equal(t.jacobian(z), J)
 
 
+@pytest.mark.parametrize("rows", [5, 1])
+@pytest.mark.parametrize(
+    "factory, n, method",
+    [(orbit_raising, 25, Method.NEW_LOBATTO)]
+    + [(lambda: nonlinear_ivp()[0], 8, m) for m in Method],
+    ids=["orbit-25"] + [f"ivp-{m.value}-8" for m in Method],
+)
+def test_evaluate_many_equals_the_single_point_methods(factory, n, method, rows):
+    from dataclasses import replace
+
+    calls = {}
+
+    def counted(name, callback):
+        def counting(*args):
+            calls[name] = calls.get(name, 0) + 1
+            return callback(*args)
+
+        return counting
+
+    defn = factory()
+    names = [
+        "dynamics",
+        "dynamics_jacobians",
+        "running_cost",
+        "running_cost_gradients",
+        "boundary",
+        "boundary_jacobian",
+        "endpoint_cost_gradient",
+    ]
+    defn = replace(defn, **{name: counted(name, getattr(defn, name)) for name in names})
+    t = transcribe(defn, lobatto_nodes(n), method)
+    rng = np.random.default_rng(rows)
+    Z = t.initial_guess_vector() + 0.05 * rng.standard_normal((rows, t.n_z))
+    calls.clear()
+    gradients, jacobians, values = t.evaluate_many(Z)
+    # One call on the stack per node-array callback, one per row per end.
+    assert calls == {
+        "dynamics": 1,
+        "dynamics_jacobians": 1,
+        "running_cost_gradients": 1,
+        "boundary": rows,
+        "boundary_jacobian": rows,
+        "endpoint_cost_gradient": rows,
+    }
+    assert gradients.shape == (rows, t.n_z)
+    assert jacobians.shape == (rows, t.n_constraints, t.n_z)
+    assert values.shape == (rows, t.n_constraints)
+    for z, gradient, J, constraints in zip(Z, gradients, jacobians, values):
+        assert np.array_equal(gradient, t.objective_gradient(z))
+        assert np.array_equal(J, t.jacobian(z))
+        assert np.array_equal(constraints, t.constraints(z))
+    with pytest.raises(ValueError, match="stack of decision vectors"):
+        t.evaluate_many(Z[0])
+
+
 class TestCostateExtraction:
     def test_zero_multipliers(self):
         defn, _ = nonlinear_ivp()
@@ -517,6 +572,50 @@ class TestConstructionValidation:
         broken = replace(defn, **{field: value})
         with pytest.raises(ValueError, match=f"^{field} returned a non-finite value$"):
             transcribe(broken, lobatto_nodes(12), method)
+
+    @pytest.mark.parametrize(
+        "value, message",
+        [
+            (np.array([-1.0, 0.0, 2.0]), r"shape \(3,\), expected a scalar$"),
+            (np.nan, "a non-finite value$"),
+        ],
+        ids=["3-vector", "nan"],
+    )
+    def test_endpoint_cost_must_be_a_finite_scalar(self, value, message):
+        # The solver reads only the cost's gradient, so either passed solve.
+        from dataclasses import replace
+
+        defn, _ = nonlinear_ivp()
+        broken = replace(defn, endpoint_cost=lambda x0, xf: value)
+        with pytest.raises(ValueError, match=f"^endpoint_cost returned {message}"):
+            transcribe(broken, lobatto_nodes(8), Method.NEW_LOBATTO)
+
+    def test_node_array_callbacks_must_broadcast_over_a_stack(self):
+        # Each takes one node axis and no more: the right shape on the
+        # guess, a wrong one on the stacks evaluate_many passes.
+        from dataclasses import replace
+
+        ivp, _ = nonlinear_ivp()
+        lq = coupled_lq_problem()
+        for problem, field, callback in [
+            (ivp, "dynamics", lambda t, x, u: (2.5 * (x * u - x - u * u)).reshape(-1, 1)),
+            (
+                ivp,
+                "dynamics_jacobians",
+                lambda t, x, u: 2.5 * np.hstack([u - 1.0, x - 2.0 * u])[:, None, :],
+            ),
+            (
+                lq,
+                "running_cost_gradients",
+                lambda t, x, u: np.column_stack([np.zeros(len(x)), u[:, 0]]),
+            ),
+        ]:
+            one = transcribe(problem, lobatto_nodes(8), Method.NEW_LOBATTO)
+            tc, (x, u) = one.collocation_times, one.unpack(one.initial_guess_vector())
+            assert np.array_equal(callback(tc, x[:8], u), getattr(problem, field)(tc, x[:8], u))
+            broken = replace(problem, **{field: callback})
+            with pytest.raises(ValueError, match=f"^{field} returned .* for a stack of two"):
+                transcribe(broken, lobatto_nodes(8), Method.NEW_LOBATTO)
 
     def test_dimensions_come_from_the_callbacks(self):
         orbit = transcribe(orbit_raising(), lobatto_nodes(5), Method.NEW_LOBATTO)
