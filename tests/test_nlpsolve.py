@@ -420,13 +420,27 @@ def test_each_point_is_evaluated_once():
         (Method.NEW_LOBATTO, 9),
         (Method.STANDARD_LOBATTO, 6),
     ]:
-        searches, report = check_line_search_evaluations(method, n)
+        searches, report = check_line_search_evaluations(method, n, [1, 4, 16, 19])
         assert (searches > report.iterations) == (n == 9)
 
 
-def check_line_search_evaluations(method, n):
+@pytest.mark.parametrize("rows", [3, 1])
+def test_stacks_are_cut_to_the_entry_cap(monkeypatch, rows):
+    # The cap cuts orbit N=25 to stacks of 3 and N=45 to stacks of 1; cut
+    # the IVP's the same way.  The iterates are those of the uncut stacks.
+    t = transcribe(nonlinear_ivp()[0], lobatto_nodes(9), Method.NEW_LOBATTO)
+    uncut = solve(t)[2]
+    monkeypatch.setattr(nlpsolve, "_BATCH_ENTRIES", rows * t.n_constraints * t.n_z)
+    stacks = [1] + [rows] * (39 // rows)
+    searches, report = check_line_search_evaluations(Method.NEW_LOBATTO, 9, stacks)
+    assert searches > report.iterations
+    assert report.step_history == uncut.step_history
+
+
+def check_line_search_evaluations(method, n, stacks):
     """Solve the IVP with every evaluation recorded and check each Newton
-    step's; return the number of line searches and the report."""
+    step's, each line search's stack sizes a prefix of ``stacks``; return
+    the number of line searches and the report."""
     # The guess and every line-search trial up to the accepted one get one
     # gradient, one Jacobian and one constraint evaluation, at one point or
     # as a row of evaluate_many; an accepted trial's values carry into the
@@ -468,16 +482,15 @@ def check_line_search_evaluations(method, n):
                 by_search.append([])
             by_search[-1].append(rows)
         searches += len(by_search)
-        for stacks in by_search:
-            sizes = [len(rows) for rows in stacks]
-            # Step length 1 alone, then stacks of 4 and 16 and the rest.
-            assert sizes == [1, 4, 16, 19][: len(sizes)]
-            trials = [row for rows in stacks for row in rows]
+        for search in by_search:
+            sizes = [len(rows) for rows in search]
+            assert sizes == stacks[: len(sizes)]
+            trials = [row for rows in search for row in rows]
             dz = trials[0] - z
             for k, trial in enumerate(trials):
                 np.testing.assert_allclose(trial, z + 0.5**k * dz, rtol=0, atol=1e-14)
-        for stacks in by_search[:-1]:
-            assert sum(map(len, stacks)) == lengths
+        for search in by_search[:-1]:
+            assert sum(map(len, search)) == lengths
         # The last search's trials run to the end of the accepted one's stack.
         accepted = round(-np.log2(report.step_history[step][2]))
         assert len(trials) == next(k for k in np.cumsum(sizes) if k > accepted)

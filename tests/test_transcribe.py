@@ -248,12 +248,30 @@ def test_callbacks_equal_the_block_diagonal_assembly(factory, n, method):
         assert np.array_equal(t.jacobian(z), J)
 
 
+def timed_ivp():
+    """The IVP with t x added to its dynamics and a running cost t u: a
+    wrong time at a node changes every node-array callback's value."""
+    from dataclasses import replace
+
+    ivp = nonlinear_ivp()[0]
+    return replace(
+        ivp,
+        dynamics=lambda t, x, u: ivp.dynamics(t, x, u) + t[..., None] * x,
+        dynamics_jacobians=lambda t, x, u: (
+            ivp.dynamics_jacobians(t, x, u) + np.stack([t, 0 * t], axis=-1)[..., None, :]
+        ),
+        running_cost=lambda t, x, u: t * u[..., 0],
+        running_cost_gradients=lambda t, x, u: np.stack([0 * t, t], axis=-1),
+    )
+
+
 @pytest.mark.parametrize("rows", [5, 1])
 @pytest.mark.parametrize(
     "factory, n, method",
     [(orbit_raising, 25, Method.NEW_LOBATTO)]
-    + [(lambda: nonlinear_ivp()[0], 8, m) for m in Method],
-    ids=["orbit-25"] + [f"ivp-{m.value}-8" for m in Method],
+    + [(lambda: nonlinear_ivp()[0], 8, m) for m in Method]
+    + [(timed_ivp, 8, Method.NEW_LOBATTO)],
+    ids=["orbit-25"] + [f"ivp-{m.value}-8" for m in Method] + ["timed-ivp-8"],
 )
 def test_evaluate_many_equals_the_single_point_methods(factory, n, method, rows):
     from dataclasses import replace
@@ -589,33 +607,6 @@ class TestConstructionValidation:
         broken = replace(defn, endpoint_cost=lambda x0, xf: value)
         with pytest.raises(ValueError, match=f"^endpoint_cost returned {message}"):
             transcribe(broken, lobatto_nodes(8), Method.NEW_LOBATTO)
-
-    def test_node_array_callbacks_must_broadcast_over_a_stack(self):
-        # Each takes one node axis and no more: the right shape on the
-        # guess, a wrong one on the stacks evaluate_many passes.
-        from dataclasses import replace
-
-        ivp, _ = nonlinear_ivp()
-        lq = coupled_lq_problem()
-        for problem, field, callback in [
-            (ivp, "dynamics", lambda t, x, u: (2.5 * (x * u - x - u * u)).reshape(-1, 1)),
-            (
-                ivp,
-                "dynamics_jacobians",
-                lambda t, x, u: 2.5 * np.hstack([u - 1.0, x - 2.0 * u])[:, None, :],
-            ),
-            (
-                lq,
-                "running_cost_gradients",
-                lambda t, x, u: np.column_stack([np.zeros(len(x)), u[:, 0]]),
-            ),
-        ]:
-            one = transcribe(problem, lobatto_nodes(8), Method.NEW_LOBATTO)
-            tc, (x, u) = one.collocation_times, one.unpack(one.initial_guess_vector())
-            assert np.array_equal(callback(tc, x[:8], u), getattr(problem, field)(tc, x[:8], u))
-            broken = replace(problem, **{field: callback})
-            with pytest.raises(ValueError, match=f"^{field} returned .* for a stack of two"):
-                transcribe(broken, lobatto_nodes(8), Method.NEW_LOBATTO)
 
     def test_dimensions_come_from_the_callbacks(self):
         orbit = transcribe(orbit_raising(), lobatto_nodes(5), Method.NEW_LOBATTO)
