@@ -201,13 +201,16 @@ def _grid_size(text: str) -> int:
 
 
 def _method_names(text: str) -> list:
-    """Type of ``--methods``: comma-separated method names, blanks dropped."""
+    """Type of ``--methods``: comma-separated method names, blanks dropped,
+    each named once."""
     names = [name.strip() for name in text.split(",") if name.strip()]
     if not names:
         raise argparse.ArgumentTypeError("must name at least one method")
-    for name in names:
+    for k, name in enumerate(names):
         if name not in _METHODS:
             raise argparse.ArgumentTypeError(f"unknown method {name!r}")
+        if name in names[:k]:
+            raise argparse.ArgumentTypeError(f"names {name!r} twice")
     return names
 
 

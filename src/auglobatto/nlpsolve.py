@@ -12,35 +12,38 @@ Jacobian, at one point or at a stack of points (``evaluate_many``), its
 Lagrangian Hessian (``Transcript.hessian``, from the gradient the solver
 already holds), its size ``n_z`` and its ``full_row_rank`` flag.
 
-The regularization delta runs through 0, delta_0, 2 delta_0, ... until the
-factorization has the inertia of a constrained minimizer and the line search
-finds a step.  That inertia needs the reduced Hessian Z^T (H + delta I) Z =
-Z^T H Z + delta I to be positive definite, Z an orthonormal basis of the null
-space of J (Nocedal & Wright ch. 16; the inertia correction of IPOPT).  So
-each Newton step takes one QR of J^T and the smallest eigenvalue of the
-small matrix Z^T H Z, and goes straight past every delta that leaves it
-negative.  When J has full row rank, the KKT inertia is the inertia of the
-reduced Hessian plus m positive and m negative eigenvalues, so a delta that
-leaves it clearly positive is certified and skips the eigenvalue test of
-the (n + m)-square KKT matrix.  The transcript says whether its
-differentiation matrix has full row rank (the augmented method's does), and
-the diagonal of the QR's R vetoes the certificate when the problem's own
-boundary rows make J lose a rank; a delta within a small band around the
-reduced Hessian's zero crossing, and every delta of a transcript without
-the certificate, gets the full test.  A singular system with a
-rank-deficient constraint Jacobian additionally gets a small negative shift
-on the constraint block.  The step length comes from
-backtracking on the Euclidean norm of the full KKT residual.  Problems here
-have a few hundred unknowns at most, so everything is dense.
+The regularization delta runs through ``_REGULARIZATIONS`` (0, 1e-8, 2e-8,
+..., every doubling of 1e-8 up to 1e8) until the factorization has the
+inertia of a constrained minimizer and the line search finds a step.  That
+inertia needs the reduced Hessian Z^T (H + delta I) Z = Z^T H Z + delta I to
+be positive definite, Z an orthonormal basis of the null space of J (Nocedal
+& Wright ch. 16; the inertia correction of IPOPT).  So each Newton step
+takes one QR of J^T and the smallest eigenvalue of the small matrix Z^T H Z,
+and goes straight past every delta that leaves it negative.  When J has full
+row rank, the KKT inertia is the inertia of the reduced Hessian plus m
+positive and m negative eigenvalues, so a delta that leaves it clearly
+positive is certified and skips the eigenvalue test of the (n + m)-square
+KKT matrix.  The transcript says whether its differentiation matrix has full
+row rank (the augmented method's does), and the diagonal of the QR's R
+vetoes the certificate when the problem's own boundary rows make J lose a
+rank; a delta within a small band around the reduced Hessian's zero
+crossing, and every delta of a transcript without the certificate, gets the
+full test.  A singular system with a rank-deficient constraint Jacobian
+additionally gets a small negative shift on the constraint block.  The step
+length comes from backtracking on the Euclidean norm of the full KKT
+residual.  Problems here have a few hundred unknowns at most, so everything
+is dense.
 
 The loop is bounded twice over (the bounded inertia correction of IPOPT,
-Waechter & Biegler 2006, section 3.1).  Past ``_REGULARIZATION_CAP`` it
-raises ``SingularKktError``, and it raises the same error, sooner, once the
-line search has found no step length at ``_MAX_FAILED_SEARCHES``
-regularizations of one Newton step.  That bound is measured, not a fixed
-delta: no Newton step of a converging solve of the benchmark problems fails
-more than 2 line searches, while the rank-deficient square transcripts that
-end singular fail 23 to 33 in one step, each a full backtracking run.
+Waechter & Biegler 2006, section 3.1).  Once every entry of
+``_REGULARIZATIONS`` has failed or been skipped it raises
+``SingularKktError``, naming 1.8e8, the doubling past the last entry.  It
+raises the same error, sooner, once the line search has found no step
+length at ``_MAX_FAILED_SEARCHES`` regularizations of one Newton step.
+That bound is measured, not a fixed delta: no Newton step of a converging
+solve of the benchmark problems fails more than 2 line searches, while the
+rank-deficient square transcripts that end singular fail 23 to 33 in one
+step, each a full backtracking run.
 
 Each point is evaluated once: an accepted line-search trial's gradient,
 Jacobian, constraint values and KKT vector carry into the next step.  The
@@ -83,8 +86,9 @@ import numpy as np
 
 from .transcribe import Transcript
 
-_REGULARIZATION_INITIAL = 1e-8
-_REGULARIZATION_CAP = 1e8
+# The regularizations 0, 1e-8, 2e-8, 4e-8, ...: every doubling of 1e-8 up to
+# 1e8, 55 in all.
+_REGULARIZATIONS = np.concatenate([[0.0], 1e-8 * 2.0 ** np.arange(54)])
 _LINE_SEARCH_SHRINK = 0.5
 _MIN_STEP = 1e-12
 # The line search's step lengths 1, 1/2, 1/4, ..., 2^-39: every halving
@@ -108,14 +112,18 @@ class SolveReport:
 
     ``residuals`` holds the (gradient, constraint) max-norm pair of every
     iterate from the guess on; ``iterations``, the Newton steps taken, is one
-    less than their count, and ``final_kkt_norm`` is the larger entry of the
-    last pair.  ``step_history`` holds an (iteration, merit, alpha) tuple per
-    accepted step.
+    less than their count, ``final_kkt_norm`` is the larger entry of the last
+    pair, and the solve has ``converged`` when both entries of that pair are
+    within ``_KKT_TOLERANCE``.  ``step_history`` holds an (iteration, merit,
+    alpha) tuple per accepted step.
     """
 
-    converged: bool
     step_history: list = field(default_factory=list)
     residuals: list = field(default_factory=list)
+
+    @property
+    def converged(self) -> bool:
+        return all(r <= _KKT_TOLERANCE for r in self.residuals[-1])
 
     @property
     def iterations(self) -> int:
@@ -144,8 +152,9 @@ class MaxIterationsError(RuntimeError):
 class SingularKktError(RuntimeError):
     """No regularization gave a usable Newton step: either the line search
     found no step length at ``_MAX_FAILED_SEARCHES`` regularizations of one
-    step, or every regularization up to the cap failed.  ``reason`` says
-    which, and ``report.iterations`` is the step it stopped at."""
+    step, or every entry of ``_REGULARIZATIONS`` failed or was skipped.
+    ``reason`` says which, and ``report.iterations`` is the step it stopped
+    at."""
 
     def __init__(self, report: SolveReport, reason: str):
         super().__init__(
@@ -178,26 +187,26 @@ def _residuals(kkt, n):
     return float(np.max(np.abs(kkt[:n]))), constraint
 
 
-def _stall(residuals, tolerance):
+def _stall(residuals):
     """Why a solve with this residual history has stalled, or None.
 
     It has when, over the last ``_STALL_WINDOW`` iterations (the iterates
     from that many steps back to the current one), each residual either
-    stayed at or below ``tolerance`` throughout, or stayed above it and never
-    fell below where the window began, and at least one did the latter.
+    stayed at or below ``_KKT_TOLERANCE`` throughout, or stayed above it and
+    never fell below where the window began, and at least one did the latter.
     """
     if len(residuals) <= _STALL_WINDOW:
         return None
     window = np.array(residuals[-_STALL_WINDOW - 1 :])
-    done = np.all(window <= tolerance, axis=0)
+    done = np.all(window <= _KKT_TOLERANCE, axis=0)
     # Never below a start above the tolerance is never within it either.
-    stuck = (window[0] > tolerance) & np.all(window >= window[0], axis=0)
+    stuck = (window[0] > _KKT_TOLERANCE) & np.all(window >= window[0], axis=0)
     if not np.all(done | stuck) or not np.any(stuck):
         return None
     names = ("gradient", "constraint")
     return ", ".join(
         [
-            f"{names[k]} residual within {tolerance:.1e} for {_STALL_WINDOW} iterations"
+            f"{names[k]} residual within {_KKT_TOLERANCE:.1e} for {_STALL_WINDOW} iterations"
             for k in np.flatnonzero(done)
         ]
         + [
@@ -224,7 +233,8 @@ def _line_search(t, z, mult, dz, dm, merit, rows):
     order, so the step taken is the one a trial at a time would take; only
     the rest of the accepting stack is wasted.  The stacked products below
     make the same BLAS calls per row as ``_kkt_vector`` and
-    ``np.linalg.norm``, so every merit is bit-equal to a single trial's.
+    ``np.linalg.norm``, so every KKT vector and merit is bit-equal to a
+    single trial's.
     """
     trial_z, trial_mult = z + dz, mult + dm
     point = _evaluate(t, trial_z)
@@ -248,17 +258,8 @@ def _line_search(t, z, mult, dz, dm, merit, rows):
         if passed.any():
             k = int(np.argmax(passed))
             point = (gradients[k], jacobians[k], values[k])
-            kkt = _kkt_vector(point, trial_mults[k])
-            return float(batch[k]), trial_zs[k], trial_mults[k], point, kkt, merits[k]
+            return float(batch[k]), trial_zs[k], trial_mults[k], point, kkts[k], merits[k]
     return None
-
-
-def _regularizations():
-    """The regularization tries 0, 1e-8, 2e-8, 4e-8, ...: 55 below the cap."""
-    delta = 0.0
-    while True:
-        yield delta
-        delta = _REGULARIZATION_INITIAL if delta == 0.0 else 2.0 * delta
 
 
 def _inertia_band(H, J, full_row_rank):
@@ -312,9 +313,9 @@ def _solve_kkt(H, J, rhs, delta, step_cap, inertia_known):
 
     Failure means any of: the matrix does not factor, the inertia is wrong
     for a constrained minimizer (must be exactly n positive and m negative
-    eigenvalues), the solve is inaccurate, or the primal step is wildly
-    long.  All of these call for more regularization, which is the caller's
-    job.
+    eigenvalues), or the step is not finite, not accurate to 1e-8 relative
+    to max(1, |rhs|), or longer than ``step_cap`` in its primal part.  All
+    of these call for more regularization, which is the caller's job.
 
     ``inertia_known`` says that ``_inertia_band`` has certified the inertia
     for this delta; the eigenvalue test and the dual shift are then skipped,
@@ -335,47 +336,40 @@ def _solve_kkt(H, J, rhs, delta, step_cap, inertia_known):
     K[:n, n:] = J.T
     K[n:, :n] = J
     dual_shifted = False
-    if not inertia_known:
-        try:
-            eigs = np.linalg.eigvalsh(K)
-        except np.linalg.LinAlgError:
-            return None, dual_shifted
-        scale = max(1.0, float(np.max(np.abs(eigs))))
-        if np.any(np.abs(eigs) <= 1e-8 * scale):
-            dual_shifted = True
-            K[n:, n:] = -1e-8 * scale * np.eye(m)
-            try:
-                eigs = np.linalg.eigvalsh(K)
-            except np.linalg.LinAlgError:
-                return None, dual_shifted
-            scale = max(1.0, float(np.max(np.abs(eigs))))
-        zero_tol = 1e-12 * scale
-        if np.count_nonzero(eigs > zero_tol) != n:
-            return None, dual_shifted
-        if np.count_nonzero(eigs < -zero_tol) != m:
-            return None, dual_shifted
     try:
+        if not inertia_known:
+            eigs = np.linalg.eigvalsh(K)
+            scale = max(1.0, float(np.max(np.abs(eigs))))
+            if np.any(np.abs(eigs) <= 1e-8 * scale):
+                dual_shifted = True
+                K[n:, n:] = -1e-8 * scale * np.eye(m)
+                eigs = np.linalg.eigvalsh(K)
+                scale = max(1.0, float(np.max(np.abs(eigs))))
+            zero_tol = 1e-12 * scale
+            inertia = np.count_nonzero(eigs > zero_tol), np.count_nonzero(eigs < -zero_tol)
+            if inertia != (n, m):
+                return None, dual_shifted
         step = np.linalg.solve(K, rhs)
     except np.linalg.LinAlgError:
         return None, dual_shifted
-    if not np.all(np.isfinite(step)):
-        return None, dual_shifted
-    residual = np.linalg.norm(K @ step - rhs)
-    if residual > 1e-8 * max(1.0, np.linalg.norm(rhs)):
-        return None, dual_shifted
-    if np.linalg.norm(step[:n]) > step_cap:
-        return None, dual_shifted
-    return step, dual_shifted
+    usable = (
+        np.all(np.isfinite(step))
+        and np.linalg.norm(K @ step - rhs) <= 1e-8 * max(1.0, np.linalg.norm(rhs))
+        and np.linalg.norm(step[:n]) <= step_cap
+    )
+    return (step if usable else None), dual_shifted
 
 
 def solve(t: Transcript):
     """Newton-iterate the transcript to a KKT point.
 
-    Returns (z, multipliers, report).  Raises MaxIterationsError when the
-    budget runs out or the residuals stall (``_stall``), and
+    Returns (z, multipliers, report).  Each iterate, the guess and the one
+    each step reaches, is checked once: it returns when the iterate has
+    converged, and raises MaxIterationsError when ``_MAX_ITERATIONS`` steps
+    are spent or the residuals stall (``_stall``).  It raises
     SingularKktError when no regularization gives a usable step
-    (``_MAX_FAILED_SEARCHES`` fruitless line searches, or the cap), both
-    with the report attached.
+    (``_MAX_FAILED_SEARCHES`` fruitless line searches, or the end of
+    ``_REGULARIZATIONS``).  Both errors carry the report.
     """
     z = t.initial_guess_vector()
     n = t.n_z
@@ -386,15 +380,15 @@ def solve(t: Transcript):
     mult, kkt = _multiplier_estimate(point)
     rows = max(1, _BATCH_ENTRIES // point[1].size)
 
-    report = SolveReport(converged=False)
+    report = SolveReport()
 
-    for iteration in range(_MAX_ITERATIONS):
-        grad_norm, cons_norm = _residuals(kkt, n)
-        report.residuals.append((grad_norm, cons_norm))
-        if grad_norm <= _KKT_TOLERANCE and cons_norm <= _KKT_TOLERANCE:
-            report.converged = True
+    while True:
+        report.residuals.append(_residuals(kkt, n))
+        if report.converged:
             return z, mult, report
-        stall = _stall(report.residuals, _KKT_TOLERANCE)
+        if report.iterations == _MAX_ITERATIONS:
+            raise MaxIterationsError(report)
+        stall = _stall(report.residuals)
         if stall is not None:
             raise MaxIterationsError(report, stall)
 
@@ -406,11 +400,8 @@ def solve(t: Transcript):
         fails_below, certain_above = _inertia_band(H, J, t.full_row_rank)
         # Stiffen until the factorization succeeds and a step length helps.
         failed_searches = 0
-        for delta in _regularizations():
-            if delta > _REGULARIZATION_CAP:
-                raise SingularKktError(report, f"regularization {delta:.1e}")
-            if delta < fails_below:
-                continue
+        # Not ``>= fails_below``: a NaN bound skips nothing.
+        for delta in _REGULARIZATIONS[~(_REGULARIZATIONS < fails_below)]:
             step, dual_shifted = _solve_kkt(
                 H, J, -kkt, delta, step_cap, delta > certain_above
             )
@@ -432,8 +423,7 @@ def solve(t: Transcript):
                 # size; a least-squares multiplier refresh, which can only shrink
                 # the gradient residual, removes it without touching the primals.
                 mult, kkt = _multiplier_estimate(point)
-            report.step_history.append((iteration, float(trial_merit), alpha))
+            report.step_history.append((report.iterations, float(trial_merit), alpha))
             break
-
-    report.residuals.append(_residuals(kkt, n))
-    raise MaxIterationsError(report)
+        else:
+            raise SingularKktError(report, f"regularization {2 * _REGULARIZATIONS[-1]:.1e}")

@@ -91,6 +91,10 @@ CONVERGE = ["converge", "--problem", "nonlinear-ivp", "--out", "never.csv"]
         (CONVERGE + ["--n-min", "8", "--n-max", "7", "--methods", "new-lobatto"], "--n-max"),
         (CONVERGE + ["--n-min", "6", "--n-max", "8", "--methods", ","], "--methods"),
         (CONVERGE + ["--n-min", "6", "--n-max", "8", "--methods", "new-lobatto,bogus"], "--methods"),
+        (
+            CONVERGE + ["--n-min", "3", "--n-max", "5", "--methods", "new-lobatto,new-lobatto"],
+            "--methods",
+        ),
     ],
     ids=[
         "diffmat-n",
@@ -99,6 +103,7 @@ CONVERGE = ["converge", "--problem", "nonlinear-ivp", "--out", "never.csv"]
         "n-max-below-n-min",
         "no-method",
         "unknown-method",
+        "repeated-method",
     ],
 )
 def test_usage_error_exits_2_and_names_the_flag(argv, flag, tmp_path, monkeypatch, capsys):

@@ -140,6 +140,11 @@ def test_start_beyond_cap_raises_the_old_error(monkeypatch):
     # Curvature -4e8 needs delta > 4e8, past the 1e8 cap: the doubling loop
     # rejected every try up to 1.8e8 and then gave up.  Now every try is
     # skipped, with the same bump count and the same message.
+    doublings = [1e-8]
+    while 2 * doublings[-1] <= 1e8:
+        doublings.append(2 * doublings[-1])
+    assert len(doublings) == 54
+    assert nlpsolve._REGULARIZATIONS.tolist() == [0.0] + doublings
     factorizations = []
     monkeypatch.setattr(
         nlpsolve, "_solve_kkt", lambda *args: factorizations.append(1) or _solve_kkt(*args)
@@ -150,6 +155,51 @@ def test_start_beyond_cap_raises_the_old_error(monkeypatch):
     assert str(err.value) == "KKT system unusable at iteration 0 (regularization 1.8e+08)"
     assert err.value.report.iterations == 0
     assert not factorizations
+
+
+# -- rejected factorizations ---------------------------------------------
+# Each input fails one of _solve_kkt's tests after a certified inertia, so
+# the solve runs on the plain saddle matrix K.
+
+
+def saddle_matrix(H, J):
+    m = J.shape[0]
+    return np.block([[H, J.T], [J, np.zeros((m, m))]])
+
+
+def assert_rejected(H, J, rhs, step_cap):
+    step, dual_shifted = _solve_kkt(H, J, rhs, 0.0, step_cap, True)
+    assert step is None and not dual_shifted
+
+
+def test_exactly_singular_matrix_is_rejected():
+    H, J, rhs = np.diag([1.0, 0.0]), np.array([[1.0, 0.0]]), np.ones(3)
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.solve(saddle_matrix(H, J), rhs)
+    assert_rejected(H, J, rhs, 1e6)
+
+
+def test_non_finite_step_is_rejected():
+    H, J, rhs = np.zeros((1, 1)), np.array([[1e-200]]), np.array([0.0, 1e200])
+    assert not np.all(np.isfinite(np.linalg.solve(saddle_matrix(H, J), rhs)))
+    assert_rejected(H, J, rhs, 1e6)
+
+
+def test_inaccurate_solve_is_rejected():
+    # The multiplier 1 - 1e20 rounds to -1e20, which leaves a residual of 1.
+    H, J, rhs = np.array([[1e20]]), np.array([[1.0]]), np.ones(2)
+    K = saddle_matrix(H, J)
+    step = np.linalg.solve(K, rhs)
+    assert np.all(np.isfinite(step)) and np.linalg.norm(step[:1]) <= 1e6
+    assert np.linalg.norm(K @ step - rhs) > 1e-8 * max(1.0, np.linalg.norm(rhs))
+    assert_rejected(H, J, rhs, 1e6)
+
+
+def test_step_longer_than_the_cap_is_rejected():
+    H, J, rhs = np.eye(1), np.array([[1.0]]), np.array([0.0, 10.0])
+    assert_rejected(H, J, rhs, 9.0)
+    step, _ = _solve_kkt(H, J, rhs, 0.0, 10.0, True)
+    np.testing.assert_array_equal(step, [10.0, -10.0])
 
 
 def record_factorizations(monkeypatch, t):
@@ -518,40 +568,57 @@ def test_max_iterations_carries_report(monkeypatch):
     assert report.final_kkt_norm == max(report.residuals[-1])
 
 
+def test_convergence_on_the_last_budgeted_step_returns(monkeypatch):
+    # Augmented N=6 converges at step 11; the iterate that the last step of
+    # the budget reaches is checked like every other.
+    t = transcribe(nonlinear_ivp()[0], lobatto_nodes(6), Method.NEW_LOBATTO)
+    _, _, unbounded = solve(t)
+    monkeypatch.setattr(nlpsolve, "_MAX_ITERATIONS", 11)
+    _, _, report = solve(t)
+    assert report.converged
+    assert report.iterations == 11
+    assert report.residuals == unbounded.residuals
+    monkeypatch.setattr(nlpsolve, "_MAX_ITERATIONS", 10)
+    with pytest.raises(MaxIterationsError) as err:
+        solve(t)
+    assert str(err.value).startswith("no convergence in 10 iterations")
+    assert err.value.report.iterations == 10
+    assert err.value.report.residuals == unbounded.residuals[:11]
+
+
 # -- stall stop ------------------------------------------------------------
 
 
 def test_stall_needs_each_residual_converged_or_stuck():
-    tol = 1e-10
     window = nlpsolve._STALL_WINDOW
     stuck = [(1e-12, 3e-9)] * (window + 1)
-    assert _stall(stuck[:-1], tol) is None  # the window is not full yet
-    assert _stall(stuck, tol) == (
+    assert _stall(stuck[:-1]) is None  # the window is not full yet
+    assert _stall(stuck) == (
         f"gradient residual within 1.0e-10 for {window} iterations, "
         "constraint residual stuck at 3.000e-09 (from 3.000e-09)"
     )
     # No square IVP solve of N=6..30 stalls this way round; the message
     # names the converged residual first.
-    assert _stall([(c, g) for g, c in stuck], tol) == (
+    assert _stall([(c, g) for g, c in stuck]) == (
         f"constraint residual within 1.0e-10 for {window} iterations, "
         "gradient residual stuck at 3.000e-09 (from 3.000e-09)"
     )
     # Both residuals frozen above the tolerance is a stall too.
-    assert _stall([(2e-10, 3e-9)] * (window + 1), tol) == (
+    assert _stall([(2e-10, 3e-9)] * (window + 1)) == (
         "gradient residual stuck at 2.000e-10 (from 2.000e-10), "
         "constraint residual stuck at 3.000e-09 (from 3.000e-09)"
     )
     # A residual that grows is stuck; one that falls, however slowly, is not.
     rising = [(1e-12, 3e-9 * 1.01**k) for k in range(window + 1)]
-    assert "constraint residual stuck at 3.661e-09" in _stall(rising, tol)
+    assert "constraint residual stuck at 3.661e-09" in _stall(rising)
     slow = [(1e-12, 3e-9 * 0.97**k) for k in range(window + 1)]
-    assert _stall(slow, tol) is None
+    assert _stall(slow) is None
     # One dip below the window's start is enough to keep going.
-    assert _stall(stuck[:5] + [(1e-12, 2.9e-9)] + stuck[6:], tol) is None
+    assert _stall(stuck[:5] + [(1e-12, 2.9e-9)] + stuck[6:]) is None
     # The converged residual left the tolerance inside the window.
-    assert _stall([(2e-10, 3e-9)] + stuck[1:], tol) is None
+    assert _stall([(2e-10, 3e-9)] + stuck[1:]) is None
     # The stuck residual touched the tolerance inside the window.
-    assert _stall(stuck[:5] + [(1e-12, 1e-10)] + stuck[6:], tol) is None
+    assert _stall(stuck[:5] + [(1e-12, 1e-10)] + stuck[6:]) is None
 
 
 @pytest.mark.parametrize("n, before, done", [(17, 50, "gradient")])
@@ -629,8 +696,8 @@ def test_stall_stop_replays_the_budget_loop(factory, n, method, monkeypatch):
 
 @replay_cases
 def test_failed_search_cap_replays_the_uncapped_loop(factory, n, method, monkeypatch):
-    # Reference: a cap above the 55 regularizations below _REGULARIZATION_CAP
-    # never fires, which leaves the loop that doubles delta up to the cap.
+    # Reference: a cap above the 55 entries of _REGULARIZATIONS never fires,
+    # which leaves the loop that tries every entry up to 1e8.
     t = transcribe(factory(), lobatto_nodes(n), method)
     outcome, report, z, mult = solve_outcome(t)
     monkeypatch.setattr(nlpsolve, "_MAX_FAILED_SEARCHES", 56)
