@@ -10,13 +10,11 @@ transcription of a problem into an equality-constrained program
 
 from .discretization import (
     DiffMatrix,
-    LagrangeBasis,
     build_basis,
     build_dual_D,
     build_new_lobatto_D,
     build_standard_lobatto_D,
     condition_number,
-    exceptional_column_reference,
     numerical_rank,
     runge_bound,
     verify_definition,
@@ -24,19 +22,16 @@ from .discretization import (
 from .nlpsolve import (
     MaxIterationsError,
     SingularKktError,
-    SolveReport,
     solve,
 )
 from .ocp import AnalyticTruth, OcpDefinition, nonlinear_ivp, orbit_raising
 from .orthopoly import (
     NodeSet,
-    envelope_check,
     legendre_eval,
     lobatto_eval,
     lobatto_nodes,
 )
 from .transcribe import (
-    KktResidualReport,
     Method,
     Solution,
     Transcript,
@@ -52,15 +47,12 @@ __version__ = "0.1.0"
 __all__ = [
     "AnalyticTruth",
     "DiffMatrix",
-    "KktResidualReport",
-    "LagrangeBasis",
     "MaxIterationsError",
     "Method",
     "NodeSet",
     "OcpDefinition",
     "SingularKktError",
     "Solution",
-    "SolveReport",
     "Transcript",
     "assemble_solution",
     "build_basis",
@@ -69,8 +61,6 @@ __all__ = [
     "build_standard_lobatto_D",
     "condition_number",
     "costate_leading_coefficient",
-    "envelope_check",
-    "exceptional_column_reference",
     "extract_costates",
     "kkt_residuals",
     "legendre_eval",

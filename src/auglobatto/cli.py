@@ -16,6 +16,7 @@ budget.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import InitVar, dataclass
 from typing import Optional
@@ -214,6 +215,18 @@ def _method_names(text: str) -> list:
     return names
 
 
+def _out_path(text: str) -> str:
+    """Type of ``--out``: a file that can be written, in a directory that
+    exists.  Nothing is created here, so a failed solve leaves no file."""
+    folder = os.path.dirname(text) or "."
+    if not os.path.isdir(folder):
+        raise argparse.ArgumentTypeError(f"no such directory: {folder!r}")
+    target = text if os.path.exists(text) else folder
+    if os.path.isdir(text) or not os.access(target, os.W_OK):
+        raise argparse.ArgumentTypeError(f"cannot write {text!r}")
+    return text
+
+
 def _run_converge(args, error) -> int:
     if args.n_max < args.n_min:
         error("argument --n-max: must not be smaller than --n-min")
@@ -256,7 +269,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--problem", choices=list(_PROBLEMS), required=True)
     p_solve.add_argument("--n", type=_grid_size, required=True)
     p_solve.add_argument("--method", choices=_METHODS, default=Method.NEW_LOBATTO.value)
-    p_solve.add_argument("--out", required=True, help="output CSV path")
+    p_solve.add_argument("--out", type=_out_path, required=True, help="output CSV path")
     p_solve.set_defaults(run=lambda args: cmd_solve(args.problem, args.n, args.method, args.out))
 
     p_conv = sub.add_parser("converge", help="error sweep against the analytic solution")
@@ -270,7 +283,7 @@ def _build_parser() -> argparse.ArgumentParser:
         required=True,
         help="comma-separated subset of: " + ", ".join(_METHODS),
     )
-    p_conv.add_argument("--out", required=True, help="output CSV path")
+    p_conv.add_argument("--out", type=_out_path, required=True, help="output CSV path")
     p_conv.set_defaults(run=lambda args: _run_converge(args, p_conv.error))
     return parser
 

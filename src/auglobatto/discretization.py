@@ -14,11 +14,12 @@ All matrices are dense; the grids in play never exceed a few dozen points.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .orthopoly import NodeSet, lobatto_eval
+from .orthopoly import NodeSet
 
 _MIN_NODE_GAP = 1e-12
 
@@ -177,6 +178,10 @@ def verify_definition(D: DiffMatrix, order: int) -> float:
     Vandermonde V' on the row nodes, and returns the infinity norm of
     ``D V - V'`` entrywise.
     """
+    try:
+        order = operator.index(order)
+    except TypeError:
+        raise TypeError(f"order must be an integer, got {order!r}") from None
     if order < 0:
         raise ValueError("order must be nonnegative")
     if order >= D.col_nodes.size:
@@ -199,15 +204,6 @@ def runge_bound(ns: NodeSet, grid_size: int) -> float:
     grid = np.linspace(-1.0, 1.0, grid_size)
     column = basis.values(grid)[:, ns.n]
     return float(np.max(np.abs(column)))
-
-
-def exceptional_column_reference(ns: NodeSet) -> np.ndarray:
-    """Closed-form last column of the rectangular matrix: the ratio of the
-    Lobatto polynomial's derivative at each collocation point to its value at
-    the extra sample."""
-    _, dvals = lobatto_eval(ns.n, ns.collocation)
-    value_at_xi, _ = lobatto_eval(ns.n, ns.exceptional)
-    return dvals / value_at_xi
 
 
 def rank_and_condition(entries: np.ndarray) -> tuple:

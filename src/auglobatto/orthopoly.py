@@ -20,14 +20,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = [
-    "NodeSet",
-    "legendre_eval",
-    "lobatto_eval",
-    "lobatto_nodes",
-    "envelope_check",
-]
-
 _TAU_SLACK = 1e-12
 
 
@@ -120,19 +112,15 @@ def legendre_eval(n: int, tau):
 def lobatto_eval(n: int, tau):
     """Evaluate the Lobatto polynomial L_n = (tau^2 - 1) P'_{n-1} and its derivative.
 
-    The derivative is n (n-1) P_{n-1}(tau).  Requires n >= 2.
+    The derivative is n (n-1) P_{n-1}(tau).  Requires n >= 2.  Returns
+    floats or ndarrays as ``legendre_eval`` does.
     """
     if n < 2:
         raise ValueError(f"Lobatto polynomial needs degree >= 2, got {n}")
-    scalar = np.ndim(tau) == 0
-    t = np.atleast_1d(np.asarray(tau, dtype=float))
-    _check_tau(t)
-    p, d, _ = _legendre_recurrence(n - 1, t)
+    p, d = legendre_eval(n - 1, tau)
+    t = np.asarray(tau, dtype=float)
     value = (t * t - 1.0) * d
-    deriv = n * (n - 1) * p
-    if scalar:
-        return float(value[0]), float(deriv[0])
-    return value, deriv
+    return (value if t.ndim else float(value)), n * (n - 1) * p
 
 
 def _legendre_roots(m: int, derivative: bool) -> np.ndarray:
@@ -191,29 +179,3 @@ def lobatto_nodes(n: int) -> NodeSet:
     ns.collocation.setflags(write=False)
     ns.weights.setflags(write=False)
     return ns
-
-
-def envelope_check(n: int, grid_size: int) -> float:
-    """Verify that F = L_n^2 + (1 - tau^2) L'_n^2 / (n(n-1)) envelopes L_n^2.
-
-    F touches L_n^2 at the stationary points and at +-1, rises toward 0 from
-    the left and falls after it; the largest stationary value of |L_n| is
-    therefore the one nearest zero.  Returns the maximum of L_n^2 - F over a
-    uniform grid (non-positive up to roundoff) and raises if the one-sided
-    monotonicity fails by more than 1e-12.
-    """
-    if grid_size < 101:
-        raise ValueError(f"grid_size must be at least 101, got {grid_size}")
-    tau = np.linspace(-1.0, 1.0, grid_size)
-    value, deriv = lobatto_eval(n, tau)
-    envelope = value * value + (1.0 - tau * tau) * deriv * deriv / (n * (n - 1))
-    violation = float(np.max(value * value - envelope))
-
-    diffs = np.diff(envelope)
-    left = diffs[tau[1:] <= 0.0]
-    right = diffs[tau[:-1] >= 0.0]
-    if left.size and float(np.min(left)) < -1e-12:
-        raise RuntimeError(f"envelope not nondecreasing left of 0 (n={n})")
-    if right.size and float(np.max(right)) > 1e-12:
-        raise RuntimeError(f"envelope not nonincreasing right of 0 (n={n})")
-    return violation

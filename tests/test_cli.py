@@ -95,6 +95,15 @@ CONVERGE = ["converge", "--problem", "nonlinear-ivp", "--out", "never.csv"]
             CONVERGE + ["--n-min", "3", "--n-max", "5", "--methods", "new-lobatto,new-lobatto"],
             "--methods",
         ),
+        (
+            ["solve", "--problem", "nonlinear-ivp", "--n", "6", "--out", "missing/never.csv"],
+            "--out",
+        ),
+        (
+            CONVERGE[:-1]
+            + ["missing/never.csv", "--n-min", "6", "--n-max", "8", "--methods", "new-lobatto"],
+            "--out",
+        ),
     ],
     ids=[
         "diffmat-n",
@@ -104,6 +113,8 @@ CONVERGE = ["converge", "--problem", "nonlinear-ivp", "--out", "never.csv"]
         "no-method",
         "unknown-method",
         "repeated-method",
+        "solve-out",
+        "converge-out",
     ],
 )
 def test_usage_error_exits_2_and_names_the_flag(argv, flag, tmp_path, monkeypatch, capsys):

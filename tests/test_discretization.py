@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,6 @@ from auglobatto.discretization import (
     build_new_lobatto_D,
     build_standard_lobatto_D,
     condition_number,
-    exceptional_column_reference,
     numerical_rank,
     runge_bound,
     verify_definition,
@@ -163,9 +164,6 @@ class TestNewLobattoMatrix:
         value_at_xi = lobatto_eval(n, ns.exceptional)[0]
         expected = dvals / value_at_xi
         np.testing.assert_allclose(D.entries[:, -1], expected, atol=1e-10)
-        np.testing.assert_allclose(
-            exceptional_column_reference(ns), expected, atol=0.0
-        )
 
 
 class TestStandardMatrix:
@@ -262,6 +260,18 @@ class TestVerifyDefinition:
         D = build_new_lobatto_D(lobatto_nodes(5))
         with pytest.raises(ValueError):
             verify_definition(D, -1)
+
+    @pytest.mark.parametrize("order", [2.5, 2.0, "2"])
+    def test_non_integer_order_rejected(self, order):
+        # np.arange(3.5) would check monomials through degree 3.
+        D = build_new_lobatto_D(lobatto_nodes(5))
+        message = re.escape(f"order must be an integer, got {order!r}")
+        with pytest.raises(TypeError, match=message):
+            verify_definition(D, order)
+
+    def test_numpy_integer_order_accepted(self):
+        D = build_new_lobatto_D(lobatto_nodes(5))
+        assert verify_definition(D, np.int64(5)) == verify_definition(D, 5)
 
     def test_zero_order_is_row_sum_check(self):
         # The same BLAS product verify_definition takes; numpy's pairwise
