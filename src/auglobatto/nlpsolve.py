@@ -46,21 +46,21 @@ rank-deficient square transcripts that end singular fail 23 to 33 in one
 step, each a full backtracking run.
 
 Each point is evaluated once: an accepted line-search trial's gradient,
-Jacobian, constraint values and KKT vector carry into the next step.  The
-line search backtracks on the fixed halving sequence 1, 1/2, ..., 2^-39
-(Armijo; Nocedal & Wright 2006, section 3.1), so it knows its trial points
-in advance.  Step length 1 is evaluated alone.  Once it fails, the shorter
-steps are evaluated in stacks, one ``evaluate_many`` call each: 4, then 16,
-then the remaining 19, each cut so that its Jacobians hold at most
-``_BATCH_ENTRIES`` (2^16) entries, which is one row at orbit N=45, 3 at
-N=25 and no cut on the IVP.  The first trial that passes the Armijo test
-is taken, so the steps and iterates are those of one trial at a time; only
-the rest of the accepting stack is extra work.  The stacks follow where
-the searches stop.  Over the IVP solves at augmented N=6..25 and square
-N=6..13, 230 of 365 line searches take step length 1; of the other 135, 51
-stop at 2^-1..2^-4, 45 at 2^-5..2^-20, 13 further down and 26 find no
-step.  One stack of all 39 made the typical solve slower, since the
-searches that stop early then pay for 39 rows.
+Jacobian, constraint values, KKT vector and its norm (the merit) carry into
+the next step.  The line search backtracks on the fixed halving sequence 1,
+1/2, ..., 2^-39 (Armijo; Nocedal & Wright 2006, section 3.1), so it knows
+its trial points in advance.  Step length 1 is evaluated alone.  Once it
+fails, the shorter steps are evaluated in stacks, one ``evaluate_many``
+call each: 4, then 16, then the remaining 19, each cut so that its
+Jacobians hold at most ``_BATCH_ENTRIES`` (2^16) entries, which is one row
+at orbit N=45, 3 at N=25 and no cut on the IVP.  The first trial that
+passes the Armijo test is taken, so the steps and iterates are those of one
+trial at a time; only the rest of the accepting stack is extra work.  The
+stacks follow where the searches stop.  Over the IVP solves at augmented
+N=6..25 and square N=6..13, 230 of 365 line searches take step length 1; of
+the other 135, 51 stop at 2^-1..2^-4, 45 at 2^-5..2^-20, 13 further down
+and 26 find no step.  One stack of all 39 made the typical solve slower,
+since the searches that stop early then pay for 39 rows.
 
 Every constant is fixed: the KKT tolerance ``_KKT_TOLERANCE`` (1e-10) and
 the iteration budget ``_MAX_ITERATIONS`` (200) alongside the
@@ -89,13 +89,9 @@ from .transcribe import Transcript
 # The regularizations 0, 1e-8, 2e-8, 4e-8, ...: every doubling of 1e-8 up to
 # 1e8, 55 in all.
 _REGULARIZATIONS = np.concatenate([[0.0], 1e-8 * 2.0 ** np.arange(54)])
-_LINE_SEARCH_SHRINK = 0.5
-_MIN_STEP = 1e-12
 # The line search's step lengths 1, 1/2, 1/4, ..., 2^-39: every halving
-# down to _MIN_STEP.
-_STEP_LENGTHS = _LINE_SEARCH_SHRINK ** np.arange(
-    1 + int(np.log(_MIN_STEP) / np.log(_LINE_SEARCH_SHRINK))
-)
+# down to 1e-12.
+_STEP_LENGTHS = 0.5 ** np.arange(40)
 # Sizes of the first stacks of shorter step lengths; the last takes the rest.
 _BACKTRACK_BATCHES = (4, 16)
 # Jacobian entries a stack of trials may hold: one row at orbit N=45.
@@ -163,22 +159,30 @@ class SingularKktError(RuntimeError):
         self.report = report
 
 
-def _evaluate(t: Transcript, z):
-    """The objective gradient, constraint Jacobian and constraint values at z."""
-    return t.objective_gradient(z), t.jacobian(z), t.constraints(z)
-
-
 def _kkt_vector(point, mult):
     gradient, J, constraints = point
     return np.concatenate([gradient + J.T @ mult, constraints])
 
 
+def _kkt_vectors(points, mults):
+    """The KKT vector and its norm at each row of a stack of points and
+    multipliers.  The products make the same BLAS calls per row as
+    ``_kkt_vector`` and ``np.linalg.norm``, so each row is bit-equal to
+    theirs."""
+    gradients, jacobians, values = points
+    products = jacobians.transpose(0, 2, 1) @ mults[:, :, None]
+    kkts = np.concatenate([gradients + products[:, :, 0], values], axis=1)
+    return kkts, np.sqrt(kkts[:, None, :] @ kkts[:, :, None]).reshape(len(kkts))
+
+
 def _multiplier_estimate(point):
     """The multipliers that minimize the Lagrangian gradient at ``point`` in
-    the least-squares sense, and the KKT vector they give there."""
+    the least-squares sense, and the KKT vector they give there and its
+    norm."""
     gradient, J, _ = point
     mult, *_ = np.linalg.lstsq(J.T, -gradient, rcond=None)
-    return mult, _kkt_vector(point, mult)
+    kkt = _kkt_vector(point, mult)
+    return mult, kkt, np.linalg.norm(kkt)
 
 
 def _residuals(kkt, n):
@@ -231,13 +235,13 @@ def _line_search(t, z, mult, dz, dm, merit, rows):
     evaluated in stacks (``Transcript.evaluate_many``), ``_BACKTRACK_BATCHES``
     (4, then 16) and then the rest, each cut to ``rows``, and tested in
     order, so the step taken is the one a trial at a time would take; only
-    the rest of the accepting stack is wasted.  The stacked products below
-    make the same BLAS calls per row as ``_kkt_vector`` and
-    ``np.linalg.norm``, so every KKT vector and merit is bit-equal to a
-    single trial's.
+    the rest of the accepting stack is wasted.  Every stacked KKT vector and
+    merit is bit-equal to a single trial's (``_kkt_vectors``; checked by
+    ``test_stacked_kkt_rows_are_bit_equal``), so the merit that an accepted
+    trial carries into the next step is the one recomputing it would give.
     """
     trial_z, trial_mult = z + dz, mult + dm
-    point = _evaluate(t, trial_z)
+    point = t.objective_gradient(trial_z), t.jacobian(trial_z), t.constraints(trial_z)
     kkt = _kkt_vector(point, trial_mult)
     trial_merit = np.linalg.norm(kkt)
     if _sufficient_decrease(trial_merit, 1.0, merit):
@@ -250,14 +254,12 @@ def _line_search(t, z, mult, dz, dm, merit, rows):
         start = stop
         trial_zs = z + batch[:, None] * dz
         trial_mults = mult + batch[:, None] * dm
-        gradients, jacobians, values = t.evaluate_many(trial_zs)
-        products = jacobians.transpose(0, 2, 1) @ trial_mults[:, :, None]
-        kkts = np.concatenate([gradients + products[:, :, 0], values], axis=1)
-        merits = np.sqrt(kkts[:, None, :] @ kkts[:, :, None]).reshape(batch.size)
+        points = t.evaluate_many(trial_zs)
+        kkts, merits = _kkt_vectors(points, trial_mults)
         passed = _sufficient_decrease(merits, batch, merit)
         if passed.any():
             k = int(np.argmax(passed))
-            point = (gradients[k], jacobians[k], values[k])
+            point = tuple(a[k] for a in points)
             return float(batch[k]), trial_zs[k], trial_mults[k], point, kkts[k], merits[k]
     return None
 
@@ -373,11 +375,11 @@ def solve(t: Transcript):
     """
     z = t.initial_guess_vector()
     n = t.n_z
-    point = _evaluate(t, z)
+    point = t.objective_gradient(z), t.jacobian(z), t.constraints(z)
     # Least-squares multiplier estimate at the guess.  Starting from zero
     # multipliers would leave a linear objective with a vanishing Lagrangian
     # Hessian and a degenerate first KKT system.
-    mult, kkt = _multiplier_estimate(point)
+    mult, kkt, merit = _multiplier_estimate(point)
     rows = max(1, _BATCH_ENTRIES // point[1].size)
 
     report = SolveReport()
@@ -394,7 +396,6 @@ def solve(t: Transcript):
 
         _, J, _ = point
         H = t.hessian(z, mult, kkt[:n])
-        merit = np.linalg.norm(kkt)
 
         step_cap = 1e6 * max(1.0, np.linalg.norm(z))
         fails_below, certain_above = _inertia_band(H, J, t.full_row_rank)
@@ -417,13 +418,13 @@ def solve(t: Transcript):
                         f"regularizations up to {delta:.1e}",
                     )
                 continue
-            alpha, z, mult, point, kkt, trial_merit = found
+            alpha, z, mult, point, kkt, merit = found
+            report.step_history.append((report.iterations, float(merit), alpha))
             if dual_shifted:
                 # The shifted dual block leaves a residual floor at the shift
                 # size; a least-squares multiplier refresh, which can only shrink
                 # the gradient residual, removes it without touching the primals.
-                mult, kkt = _multiplier_estimate(point)
-            report.step_history.append((report.iterations, float(trial_merit), alpha))
+                mult, kkt, merit = _multiplier_estimate(point)
             break
         else:
             raise SingularKktError(report, f"regularization {2 * _REGULARIZATIONS[-1]:.1e}")

@@ -487,6 +487,48 @@ def test_stacks_are_cut_to_the_entry_cap(monkeypatch, rows):
     assert report.step_history == uncut.step_history
 
 
+@pytest.mark.parametrize(
+    "factory, n, method",
+    [
+        (lambda: nonlinear_ivp()[0], 9, Method.NEW_LOBATTO),
+        (lambda: nonlinear_ivp()[0], 9, Method.STANDARD_LOBATTO),
+        (orbit_raising, 25, Method.NEW_LOBATTO),
+    ],
+    ids=["augmented-ivp-9", "square-ivp-9", "orbit-25"],
+)
+def test_stacked_kkt_rows_are_bit_equal(factory, n, method, monkeypatch):
+    # Each row of every trial stack a solve's line searches build has the
+    # KKT vector and merit of _kkt_vector and np.linalg.norm at that trial,
+    # bit for bit.  So the merit each line search starts from, carried from
+    # the accepted trial or the multiplier refresh, is the norm of the KKT
+    # vector at the iterate, as recomputing it there would give.
+    t = transcribe(factory(), lobatto_nodes(n), method)
+    kkt_vectors, line_search = nlpsolve._kkt_vectors, nlpsolve._line_search
+    stack_rows, searches = [], []
+
+    def checked_stack(points, mults):
+        kkts, merits = kkt_vectors(points, mults)
+        for k, mult in enumerate(mults):
+            kkt = nlpsolve._kkt_vector(tuple(a[k] for a in points), mult)
+            assert kkts[k].tobytes() == kkt.tobytes()
+            assert merits[k] == np.linalg.norm(kkt)
+        stack_rows.append(len(mults))
+        return kkts, merits
+
+    def checked_search(t, z, mult, dz, dm, merit, rows):
+        point = t.objective_gradient(z), t.jacobian(z), t.constraints(z)
+        assert merit == np.linalg.norm(nlpsolve._kkt_vector(point, mult))
+        searches.append(merit)
+        return line_search(t, z, mult, dz, dm, merit, rows)
+
+    monkeypatch.setattr(nlpsolve, "_kkt_vectors", checked_stack)
+    monkeypatch.setattr(nlpsolve, "_line_search", checked_search)
+    report = solve(t)[2]
+    assert report.converged
+    assert len(searches) >= report.iterations
+    assert len(stack_rows) >= 2
+
+
 def check_line_search_evaluations(method, n, stacks):
     """Solve the IVP with every evaluation recorded and check each Newton
     step's, each line search's stack sizes a prefix of ``stacks``; return
