@@ -2,7 +2,7 @@
 
 Usage::
 
-    python3 scripts/bench_pairs.py REV [--pairs 5] [--seconds 40]
+    python3 scripts/bench_pairs.py REV [--pairs 10]
         [--workloads grids,orbit,ivp-sweep]
 
 Builds two temporary trees, each holding this checkout's ``bench/``: one
@@ -10,14 +10,18 @@ with REV's ``src/`` (extracted with ``git archive``, as
 ``compare_trees.py`` does) and one with this checkout's ``src/`` (working
 files, uncommitted changes included).  For each workload and each seed
 1..PAIRS it runs ``python3 bench/run.py --workload W --seed S --seconds T
---trace 0`` once in each tree, REV's first on odd seeds and the
-checkout's first on even ones.  Then, for every end-to-end metric that
-``BENCHMARK.json`` declares, it prints REV's and the checkout's medians
-with their quartiles, the relative change of the median, the number of
-pairs in which the checkout's run is better, and ``OVER BOUND`` when the
-checkout's median is worse than REV's by more than the metric's bound; and
-each side's failed ops.  Exits 1 when a metric is over its bound or an op
-failed, else 0.  Uses the standard library only.
+--trace 0`` once in each tree, with T the ``run_seconds`` of
+``BENCHMARK.json``, REV's first on odd seeds and the checkout's first on
+even ones.  Then, for every end-to-end metric that ``BENCHMARK.json``
+declares, it prints REV's and the checkout's medians with their
+quartiles, the relative change of the median, the number of pairs in
+which the checkout's run is better, ``OVER BOUND`` when the checkout's
+median is worse than REV's by more than the metric's bound, and
+``UNRESOLVED`` when either side's quartile distance, relative to its
+median, is wider than the bound and not every checkout run is better than
+every REV run; and each side's failed ops.  Exits 1 when a metric is over
+its bound or unresolved or an op failed, else 0.  Uses the standard
+library only.
 """
 
 from __future__ import annotations
@@ -67,22 +71,28 @@ def spread(values: list) -> tuple:
 
 
 def report(workload: str, runs: dict, metrics: list) -> bool:
-    """Print one workload's table; return whether it passes every bound."""
+    """Print one workload's table; return whether every metric holds its bound."""
     ok = True
     pairs = len(runs["rev"])
     print(f"== {workload}: {pairs} pair(s)")
     for metric in metrics:
         name, sign = metric["name"], 1 if metric["better"] == "lower" else -1
         values = {side: [r["metrics"][name]["value"] for r in runs[side]] for side in SIDES}
-        (old, old_q1, old_q3), (new, new_q1, new_q3) = (spread(values[s]) for s in SIDES)
+        spreads = [spread(values[side]) for side in SIDES]
+        (old, old_q1, old_q3), (new, new_q1, new_q3) = spreads
         change = (new - old) / old if old else 0.0
         wins = sum(sign * (b - a) < 0 for a, b in zip(values["rev"], values["checkout"]))
         over = sign * change > metric["bound"]
-        ok = ok and not over
+        wide = any(q3 - q1 > metric["bound"] * abs(m) for m, q1, q3 in spreads)
+        apart = all(sign * (b - a) < 0 for a in values["rev"] for b in values["checkout"])
+        unresolved = wide and not apart
+        ok = ok and not over and not unresolved
         print(
             f"{name:12} rev {old:.4g} [{old_q1:.4g}, {old_q3:.4g}]  "
             f"checkout {new:.4g} [{new_q1:.4g}, {new_q3:.4g}]  "
-            f"{100 * change:+.1f}%  better in {wins}/{pairs}" + ("  OVER BOUND" if over else "")
+            f"{100 * change:+.1f}%  better in {wins}/{pairs}"
+            + ("  OVER BOUND" if over else "")
+            + ("  UNRESOLVED" if unresolved else "")
         )
     for side in SIDES:
         failed = sum(r["failed"] for r in runs[side])
@@ -95,8 +105,7 @@ def report(workload: str, runs: dict, metrics: list) -> bool:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("rev")
-    parser.add_argument("--pairs", type=int, default=5)
-    parser.add_argument("--seconds", type=float, default=40.0)
+    parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--workloads", default=None, help="comma-separated; default all")
     args = parser.parse_args(argv)
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
@@ -110,7 +119,8 @@ def main(argv=None) -> int:
             runs = {side: [] for side in SIDES}
             for seed in range(1, args.pairs + 1):
                 for side in SIDES if seed % 2 else SIDES[::-1]:
-                    runs[side].append(run_bench(trees[side], workload, seed, args.seconds))
+                    run = run_bench(trees[side], workload, seed, benchmark["run_seconds"])
+                    runs[side].append(run)
                     print(f"{workload} seed {seed} {side} done", file=sys.stderr, flush=True)
             ok = report(workload, runs, benchmark["end_to_end"]) and ok
     return 0 if ok else 1
