@@ -19,20 +19,25 @@ inertia needs the reduced Hessian Z^T (H + delta I) Z = Z^T H Z + delta I to
 be positive definite, Z an orthonormal basis of the null space of J (Nocedal
 & Wright ch. 16; the inertia correction of IPOPT).  So each Newton step
 takes one QR of J^T and the smallest eigenvalue of the small matrix Z^T H Z,
-and goes straight past every delta that leaves it negative.  When J has full
-row rank, the KKT inertia is the inertia of the reduced Hessian plus m
-positive and m negative eigenvalues, so a delta that leaves it clearly
-positive is certified and skips the eigenvalue test of the (n + m)-square
-KKT matrix.  The transcript says whether its differentiation matrix has full
-row rank (the augmented method's does), and the diagonal of the QR's R
-vetoes the certificate when the problem's own boundary rows make J lose a
-rank; a delta within a small band around the reduced Hessian's zero
-crossing, and every delta of a transcript without the certificate, gets the
-full test.  A singular system with a rank-deficient constraint Jacobian
+and goes straight past every delta that leaves it negative.  Z is only the
+last n - m columns of that QR's Q: past ``_QR_BLOCK`` (48) rows of J, as on
+the orbit grids (232 rows and 43 null-space columns at N=45), the solver
+forms just those, from LAPACK's Householder reflectors 48 at a time
+(``_null_space``); up to 48 rows, every IVP grid, one complete QR is the
+faster call.  When J has full row rank, the KKT inertia is the inertia of
+the reduced Hessian plus m positive and m negative eigenvalues, so a delta
+that leaves it clearly positive is certified and skips the eigenvalue test
+of the (n + m)-square KKT matrix.  The transcript says whether its
+differentiation matrix has full row rank (the augmented method's does), and
+the diagonal of the QR's R vetoes the certificate when the problem's own
+boundary rows make J lose a rank; a delta within a small band around the
+reduced Hessian's zero crossing, and every delta of a transcript without
+the certificate, gets the full test.  A singular system with a rank-deficient constraint Jacobian
 additionally gets a small negative shift on the constraint block.  The step
 length comes from backtracking on the Euclidean norm of the full KKT
 residual.  Problems here have a few hundred unknowns at most, so everything
-is dense.
+is dense: each solve allocates one Fortran-ordered (n + m)-square KKT
+matrix, which every try of every step refills in place.
 
 The loop is bounded twice over (the bounded inertia correction of IPOPT,
 Waechter & Biegler 2006, section 3.1).  Once every entry of
@@ -100,6 +105,9 @@ _STALL_WINDOW = 20
 _MAX_FAILED_SEARCHES = 8
 _KKT_TOLERANCE = 1e-10
 _MAX_ITERATIONS = 200
+# Householder reflectors per block when only Z of the QR of J^T is formed;
+# a Jacobian with at most this many rows takes one complete QR instead.
+_QR_BLOCK = 48
 
 
 @dataclass
@@ -264,12 +272,51 @@ def _line_search(t, z, mult, dz, dm, merit, rows):
     return None
 
 
+def _null_space(J):
+    """The last n - m columns Z of Q and the diagonal of R in J^T = QR, for
+    J with m < n rows: an orthonormal basis of the null space of J when J
+    has full row rank.
+
+    Up to ``_QR_BLOCK`` rows, one complete QR gives Q and Z = Q[:, m:].
+    Past that, forming all n columns of Q costs more than the n - m that Z
+    needs, so Z = H_1 ... H_m [0; I] applies LAPACK's Householder reflectors
+    H_i = I - tau_i v_i v_i^T (``np.linalg.qr(mode="raw")``, the same
+    ``geqrf`` call, so R's diagonal keeps its bits) to the last n - m
+    columns of I only, ``_QR_BLOCK`` reflectors at a time and the last block
+    first.  A block is I - V T V^T (the compact WY form; Schreiber & Van
+    Loan 1989), with T = (I + diag(tau) striu(V^T V))^-1 diag(tau): one
+    small unit-triangular solve per block and no division by tau, so a
+    reflector with tau = 0 contributes nothing.  A block's reflectors are
+    zero above its first row, so it touches only the rows from there on.
+    """
+    m, n = J.shape
+    if m <= _QR_BLOCK:
+        Q, R = np.linalg.qr(J.T, mode="complete")
+        return Q[:, m:], np.diagonal(R)
+    # Row i of h holds R's column i up to the diagonal and v_i below it.
+    h, tau = np.linalg.qr(J.T, mode="raw")
+    Z = np.zeros((n, n - m))
+    Z[m:] = np.eye(n - m)
+    for k in range(m - 1 - (m - 1) % _QR_BLOCK, -1, -_QR_BLOCK):
+        # The block's v_i as rows, from row k of Z on: unit leading entry.
+        V = np.triu(h[k : k + _QR_BLOCK, k:], 1)
+        np.fill_diagonal(V, 1.0)
+        t = tau[k : k + _QR_BLOCK, None]
+        unit_triangle = np.eye(t.size) + t * np.triu(V @ V.T, 1)
+        Z[k:] -= V.T @ np.linalg.solve(unit_triangle, t * (V @ Z[k:]))
+    return Z, np.diagonal(h)
+
+
 def _inertia_band(H, J, full_row_rank):
     """The regularizations the reduced Hessian decides on its own.
 
-    Returns ``(fails_below, certain_above)``.  Both come from one complete QR
-    of J^T, Z = Q[:, m:], and the smallest eigenvalue lowest of the small
-    matrix Z^T H Z; the reduced Hessian for delta is Z^T H Z + delta I.
+    Returns ``(fails_below, certain_above)``.  Both come from one QR of J^T,
+    Z = Q[:, m:], and the smallest eigenvalue lowest of the small matrix
+    Z^T H Z; the reduced Hessian for delta is Z^T H Z + delta I.  Up to 48
+    rows of J the QR is one complete ``np.linalg.qr``; past that,
+    ``_null_space`` forms only the n - m columns of Z, in blocks of 48
+    Householder reflectors, and reads R's diagonal off the same LAPACK call,
+    so the rank veto below sees the same bits either way.
 
     Below ``fails_below`` it has a negative eigenvalue.  Z lies in the null
     space of J (and spans it when J has full row rank), so with v that
@@ -298,20 +345,23 @@ def _inertia_band(H, J, full_row_rank):
     if m >= n:
         return -np.inf, np.inf
     try:
-        Q, R = np.linalg.qr(J.T, mode="complete")
-        Z = Q[:, m:]
+        Z, diagonal = _null_space(J)
         lowest = np.linalg.eigvalsh(Z.T @ H @ Z)[0]
     except np.linalg.LinAlgError:
         return -np.inf, np.inf
     scale = max(1.0, float(np.max(np.abs(H))))
-    pivots = np.abs(np.diag(R))
+    pivots = np.abs(diagonal)
     certain = full_row_rank and pivots.min() > 1e-12 * pivots.max()
     certain_above = 1e-5 * scale - lowest if certain else np.inf
     return -lowest - 1e-6 * scale, certain_above
 
 
-def _solve_kkt(H, J, rhs, delta, step_cap, inertia_known):
+def _solve_kkt(K, H, J, rhs, delta, step_cap, inertia_known):
     """Factor and solve the saddle system; None signals failure.
+
+    ``K`` is the solve's (n + m)-square buffer, Fortran-ordered as LAPACK
+    reads it.  Each try writes every entry: H + delta I, J and J^T, and the
+    dual block zeroed again, so nothing carries over from the previous try.
 
     Failure means any of: the matrix does not factor, the inertia is wrong
     for a constrained minimizer (must be exactly n positive and m negative
@@ -331,12 +381,12 @@ def _solve_kkt(H, J, rhs, delta, step_cap, inertia_known):
     eigenvalue.
     """
     n, m = H.shape[0], J.shape[0]
-    K = np.zeros((n + m, n + m))
     K[:n, :n] = H
     if delta:
         K[np.diag_indices(n)] += delta
     K[:n, n:] = J.T
     K[n:, :n] = J
+    K[n:, n:] = 0.0
     dual_shifted = False
     try:
         if not inertia_known:
@@ -356,7 +406,9 @@ def _solve_kkt(H, J, rhs, delta, step_cap, inertia_known):
         return None, dual_shifted
     usable = (
         np.all(np.isfinite(step))
-        and np.linalg.norm(K @ step - rhs) <= 1e-8 * max(1.0, np.linalg.norm(rhs))
+        # H is exactly symmetric (the transcript symmetrizes it), so K is:
+        # K.T is the same matrix in C order, and its product runs row by row.
+        and np.linalg.norm(K.T @ step - rhs) <= 1e-8 * max(1.0, np.linalg.norm(rhs))
         and np.linalg.norm(step[:n]) <= step_cap
     )
     return (step if usable else None), dual_shifted
@@ -381,6 +433,9 @@ def solve(t: Transcript):
     # Hessian and a degenerate first KKT system.
     mult, kkt, merit = _multiplier_estimate(point)
     rows = max(1, _BATCH_ENTRIES // point[1].size)
+    # One KKT buffer for every try of every step.
+    size = n + point[1].shape[0]
+    K = np.empty((size, size), order="F")
 
     report = SolveReport()
 
@@ -404,7 +459,7 @@ def solve(t: Transcript):
         # Not ``>= fails_below``: a NaN bound skips nothing.
         for delta in _REGULARIZATIONS[~(_REGULARIZATIONS < fails_below)]:
             step, dual_shifted = _solve_kkt(
-                H, J, -kkt, delta, step_cap, delta > certain_above
+                K, H, J, -kkt, delta, step_cap, delta > certain_above
             )
             if step is None:
                 continue

@@ -15,6 +15,7 @@ from auglobatto.nlpsolve import (
     MaxIterationsError,
     SingularKktError,
     _inertia_band,
+    _null_space,
     _solve_kkt,
     _stall,
     solve,
@@ -109,6 +110,12 @@ def first_coordinate_row(n=3):
     return J
 
 
+def fresh_kkt(H, J, *args):
+    """``_solve_kkt`` on a newly allocated KKT buffer."""
+    size = H.shape[0] + J.shape[0]
+    return _solve_kkt(np.empty((size, size), order="F"), H, J, *args)
+
+
 def test_positive_reduced_hessian_starts_at_zero():
     # H is indefinite, but its negative curvature lies along the row of J,
     # so the reduced Hessian is the identity and delta = 0 already gives the
@@ -117,7 +124,7 @@ def test_positive_reduced_hessian_starts_at_zero():
     J = first_coordinate_row()
     fails_below, _ = _inertia_band(H, J, True)
     assert fails_below < 0.0
-    step, dual_shifted = _solve_kkt(H, J, np.ones(4), 0.0, 1e6, False)
+    step, dual_shifted = fresh_kkt(H, J, np.ones(4), 0.0, 1e6, False)
     assert step is not None and not dual_shifted
 
 
@@ -126,8 +133,8 @@ def test_negative_reduced_hessian_skips_what_fails():
     J = first_coordinate_row()
     bound, _ = _inertia_band(H, J, True)
     assert 3.0 - 1e-5 < bound < 3.0
-    assert _solve_kkt(H, J, np.ones(4), np.nextafter(bound, 0.0), 1e6, False)[0] is None
-    assert _solve_kkt(H, J, np.ones(4), 3.5, 1e6, False)[0] is not None
+    assert fresh_kkt(H, J, np.ones(4), np.nextafter(bound, 0.0), 1e6, False)[0] is None
+    assert fresh_kkt(H, J, np.ones(4), 3.5, 1e6, False)[0] is not None
 
 
 def test_no_null_space_skips_nothing():
@@ -168,7 +175,7 @@ def saddle_matrix(H, J):
 
 
 def assert_rejected(H, J, rhs, step_cap):
-    step, dual_shifted = _solve_kkt(H, J, rhs, 0.0, step_cap, True)
+    step, dual_shifted = fresh_kkt(H, J, rhs, 0.0, step_cap, True)
     assert step is None and not dual_shifted
 
 
@@ -198,17 +205,19 @@ def test_inaccurate_solve_is_rejected():
 def test_step_longer_than_the_cap_is_rejected():
     H, J, rhs = np.eye(1), np.array([[1.0]]), np.array([0.0, 10.0])
     assert_rejected(H, J, rhs, 9.0)
-    step, _ = _solve_kkt(H, J, rhs, 0.0, 10.0, True)
+    step, _ = fresh_kkt(H, J, rhs, 0.0, 10.0, True)
     np.testing.assert_array_equal(step, [10.0, -10.0])
 
 
 def record_factorizations(monkeypatch, t):
     """Solve t and return, per Newton step, the tries solve made as
-    (H, J, rhs, delta, step_cap, step, dual_shifted, inertia_known) tuples."""
+    (H, J, rhs, delta, step_cap, step, dual_shifted, inertia_known) tuples.
+    The tries run on the solve's own KKT buffer; the replays below run on
+    fresh ones."""
     steps = []
 
-    def recording(H, J, rhs, delta, step_cap, inertia_known):
-        step, dual_shifted = _solve_kkt(H, J, rhs, delta, step_cap, inertia_known)
+    def recording(K, H, J, rhs, delta, step_cap, inertia_known):
+        step, dual_shifted = _solve_kkt(K, H, J, rhs, delta, step_cap, inertia_known)
         if not steps or steps[-1][0][0] is not H:
             steps.append([])
         steps[-1].append((H, J, rhs, delta, step_cap, step, dual_shifted, inertia_known))
@@ -239,7 +248,7 @@ def test_skipped_regularizations_match_doubling_from_zero(factory, n, method, mo
         # and doubled from 1e-8 until a factorization passed.
         delta = 0.0
         while True:
-            step, dual_shifted = _solve_kkt(H, J, rhs, delta, step_cap, False)
+            step, dual_shifted = fresh_kkt(H, J, rhs, delta, step_cap, False)
             if delta < first_tried:
                 assert step is None
                 skipped += 1
@@ -279,7 +288,7 @@ def test_certified_tries_match_the_inertia_test(factory, n, monkeypatch):
             certified += 1
             # The eigenvalue test would have passed without a dual shift and
             # factored the same matrix.
-            reference, reference_shifted = _solve_kkt(H, J, rhs, delta, step_cap, False)
+            reference, reference_shifted = fresh_kkt(H, J, rhs, delta, step_cap, False)
             assert not reference_shifted
             assert (reference is None) == (step is None)
             if step is not None:
@@ -355,6 +364,104 @@ def test_repeated_rows_veto_the_certificate(monkeypatch):
     assert calls.count(True) >= report.iterations > 0
     np.testing.assert_array_equal(z_flagged, z)
     np.testing.assert_array_equal(mult_flagged, mult)
+
+
+# -- null space and KKT buffer ---------------------------------------------
+
+
+def orbit_point(n):
+    """The Jacobian and the Lagrangian Hessian of orbit raising at its guess."""
+    t = transcribe(orbit_raising(), lobatto_nodes(n), Method.NEW_LOBATTO)
+    z = t.initial_guess_vector()
+    point = t.objective_gradient(z), t.jacobian(z), t.constraints(z)
+    mult, kkt, _ = nlpsolve._multiplier_estimate(point)
+    return point[1], t.hessian(z, mult, kkt[: t.n_z])
+
+
+def random_point(m, seed=3):
+    rng = np.random.default_rng(seed)
+    n = m + 20
+    A = rng.standard_normal((n, n))
+    return rng.standard_normal((m, n)), A + A.T
+
+
+@pytest.mark.parametrize(
+    "point",
+    [lambda m=m: random_point(m) for m in (47, 48, 49, 96, 97)]
+    + [lambda n=n: orbit_point(n) for n in (25, 45)],
+    ids=[f"random-{m}" for m in (47, 48, 49, 96, 97)] + ["orbit-25", "orbit-45"],
+)
+def test_null_space_matches_the_complete_qr(point):
+    # Past 48 rows only the null-space columns are formed, 48 reflectors
+    # per block; Z need not equal the complete QR's, but it must span the
+    # same space orthonormally and give the same smallest reduced eigenvalue.
+    J, H = point()
+    m, n = J.shape
+    Z, diagonal = _null_space(J)
+    Q, R = np.linalg.qr(J.T, mode="complete")
+    assert Z.shape == (n, n - m)
+    assert np.max(np.abs(Z.T @ Z - np.eye(n - m))) <= 1e-13
+    assert np.linalg.norm(J @ Z) <= 1e-13 * np.linalg.norm(J)
+    np.testing.assert_array_equal(np.abs(diagonal), np.abs(np.diag(R)))
+    scale = max(1.0, float(np.max(np.abs(H))))
+    lowest = np.linalg.eigvalsh(Z.T @ H @ Z)[0]
+    reference = np.linalg.eigvalsh(Q[:, m:].T @ H @ Q[:, m:])[0]
+    assert abs(lowest - reference) <= 1e-14 * scale
+    if m <= nlpsolve._QR_BLOCK:
+        np.testing.assert_array_equal(Z, Q[:, m:])
+
+
+def test_null_space_of_zero_reflectors_is_the_last_columns():
+    # J = [I | 0]: every reflector has tau = 0, so nothing may move [0; I].
+    m, n = 60, 75
+    J = np.hstack([np.eye(m), np.zeros((m, n - m))])
+    assert not np.any(np.linalg.qr(J.T, mode="raw")[1])
+    Z, diagonal = _null_space(J)
+    np.testing.assert_array_equal(Z, np.eye(n)[:, m:])
+    np.testing.assert_array_equal(np.abs(diagonal), np.ones(m))
+
+
+def test_kkt_buffer_carries_nothing_between_tries():
+    # One buffer, filled with NaN at first, runs a dual-shifted try, then an
+    # unshifted one of the same size, then delta > 0 and delta = 0: each
+    # step is bit-equal to the one on a fresh buffer.
+    H = 2.0 * np.eye(3)
+    repeated = np.zeros((2, 3))
+    repeated[:, 0] = 1.0
+    distinct = np.eye(3)[:2]
+    rhs = np.array([1.0, -2.0, 0.5, 1.0, 3.0])
+    K = np.full((5, 5), np.nan, order="F")
+    tries = [
+        (repeated, 0.0, False, True),
+        (distinct, 0.0, False, False),
+        (distinct, 1.0, False, False),
+        (distinct, 0.0, False, False),
+        (distinct, 1.0, True, False),
+        (distinct, 0.0, True, False),
+    ]
+    for J, delta, inertia_known, shifted in tries:
+        step, dual_shifted = _solve_kkt(K, H, J, rhs, delta, 1e6, inertia_known)
+        reference, reference_shifted = fresh_kkt(H, J, rhs, delta, 1e6, inertia_known)
+        assert dual_shifted == reference_shifted == shifted
+        np.testing.assert_array_equal(step, reference)
+
+
+def test_one_kkt_buffer_per_solve(monkeypatch):
+    buffers = []
+
+    def recording(K, *args):
+        buffers.append(K)
+        return _solve_kkt(K, *args)
+
+    monkeypatch.setattr(nlpsolve, "_solve_kkt", recording)
+    # Square N=8 ends singular after many tries, dual-shifted ones included.
+    t = transcribe(nonlinear_ivp()[0], lobatto_nodes(8), Method.STANDARD_LOBATTO)
+    size = t.n_z + t.jacobian(t.initial_guess_vector()).shape[0]
+    with pytest.raises(SingularKktError):
+        solve(t)
+    assert len(buffers) > 1
+    assert all(K is buffers[0] for K in buffers)
+    assert buffers[0].shape == (size, size) and buffers[0].flags.f_contiguous
 
 
 # -- grouped Hessian -------------------------------------------------------
