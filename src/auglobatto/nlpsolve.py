@@ -9,78 +9,27 @@ with H the Lagrangian Hessian, J the constraint Jacobian, and c the
 constraint values.  The solver reads the problem only through the
 transcript: its guess, its objective gradient, constraint values and
 Jacobian, at one point or at a stack of points (``evaluate_many``), its
-Lagrangian Hessian (``Transcript.hessian``, from the gradient the solver
-already holds), its size ``n_z`` and its ``full_row_rank`` flag.
+Lagrangian Hessian (``Transcript.hessian``), its size ``n_z`` and its
+``full_row_rank`` flag.  Problems here have a few hundred unknowns at most,
+so everything is dense.
 
-The regularization delta runs through ``_REGULARIZATIONS`` (0, 1e-8, 2e-8,
-..., every doubling of 1e-8 up to 1e8) until the factorization has the
-inertia of a constrained minimizer and the line search finds a step.  That
-inertia needs the reduced Hessian Z^T (H + delta I) Z = Z^T H Z + delta I to
-be positive definite, Z an orthonormal basis of the null space of J (Nocedal
-& Wright ch. 16; the inertia correction of IPOPT).  So each Newton step
-takes one QR of J^T and the smallest eigenvalue of the small matrix Z^T H Z,
-and goes straight past every delta that leaves it negative.  Z is only the
-last n - m columns of that QR's Q: past ``_QR_BLOCK`` (48) rows of J, as on
-the orbit grids (232 rows and 43 null-space columns at N=45), the solver
-forms just those, from LAPACK's Householder reflectors 48 at a time
-(``_null_space``); up to 48 rows, every IVP grid, one complete QR is the
-faster call.  When J has full row rank, the KKT inertia is the inertia of
-the reduced Hessian plus m positive and m negative eigenvalues, so a delta
-that leaves it clearly positive is certified and skips the eigenvalue test
-of the (n + m)-square KKT matrix.  The transcript says whether its
-differentiation matrix has full row rank (the augmented method's does), and
-the diagonal of the QR's R vetoes the certificate when the problem's own
-boundary rows make J lose a rank; a delta within a small band around the
-reduced Hessian's zero crossing, and every delta of a transcript without
-the certificate, gets the full test.  A singular system with a rank-deficient constraint Jacobian
-additionally gets a small negative shift on the constraint block.  The step
-length comes from backtracking on the Euclidean norm of the full KKT
-residual.  Problems here have a few hundred unknowns at most, so everything
-is dense: each solve allocates one Fortran-ordered (n + m)-square KKT
-matrix, which every try of every step refills in place.
+``solve`` runs the Newton loop.  Each step tries the regularizations delta
+of ``_REGULARIZATIONS`` in turn until one gives a usable step and a step
+length (the inertia correction of IPOPT; Waechter & Biegler 2006, section
+3.1).  The mechanisms live in one function each:
 
-The loop is bounded twice over (the bounded inertia correction of IPOPT,
-Waechter & Biegler 2006, section 3.1).  Once every entry of
-``_REGULARIZATIONS`` has failed or been skipped it raises
-``SingularKktError``, naming 1.8e8, the doubling past the last entry.  It
-raises the same error, sooner, once the line search has found no step
-length at ``_MAX_FAILED_SEARCHES`` regularizations of one Newton step.
-That bound is measured, not a fixed delta: no Newton step of a converging
-solve of the benchmark problems fails more than 2 line searches, while the
-rank-deficient square transcripts that end singular fail 23 to 33 in one
-step, each a full backtracking run.
+- ``_inertia_band``: which deltas the reduced Hessian on the null space of
+  J rejects outright and which it certifies, with ``_null_space`` forming
+  that null space;
+- ``_solve_kkt``: the factorization at one delta, its inertia test and the
+  dual shift of a singular system;
+- ``_line_search``: Armijo backtracking on the KKT norm (the merit), the
+  shorter trial steps evaluated in stacks;
+- ``_stall``: the rule that stops a solve whose residuals have stalled.
 
 Each point is evaluated once: an accepted line-search trial's gradient,
-Jacobian, constraint values, KKT vector and its norm (the merit) carry into
-the next step.  The line search backtracks on the fixed halving sequence 1,
-1/2, ..., 2^-39 (Armijo; Nocedal & Wright 2006, section 3.1), so it knows
-its trial points in advance.  Step length 1 is evaluated alone.  Once it
-fails, the shorter steps are evaluated in stacks, one ``evaluate_many``
-call each: 4, then 16, then the remaining 19, each cut so that its
-Jacobians hold at most ``_BATCH_ENTRIES`` (2^16) entries, which is one row
-at orbit N=45, 3 at N=25 and no cut on the IVP.  The first trial that
-passes the Armijo test is taken, so the steps and iterates are those of one
-trial at a time; only the rest of the accepting stack is extra work.  The
-stacks follow where the searches stop.  Over the IVP solves at augmented
-N=6..25 and square N=6..13, 230 of 365 line searches take step length 1; of
-the other 135, 51 stop at 2^-1..2^-4, 45 at 2^-5..2^-20, 13 further down
-and 26 find no step.  One stack of all 39 made the typical solve slower,
-since the searches that stop early then pay for 39 rows.
-
-Every constant is fixed: the KKT tolerance ``_KKT_TOLERANCE`` (1e-10) and
-the iteration budget ``_MAX_ITERATIONS`` (200) alongside the
-regularization, line-search, stall and failed-search ones.
-
-A solve that has stalled stops before the budget runs out.  The report keeps
-the gradient and constraint residuals of every iterate, and when, over the
-last ``_STALL_WINDOW`` iterations, each residual has either stayed within the
-tolerance or stayed above it without once falling below where the window
-began, and at least one has done the latter, the loop raises
-``MaxIterationsError`` naming both.  The rank-deficient square transcripts
-end this way when their Newton steps keep one residual converged and leave
-the other frozen on a floor just above the tolerance.  A residual that dips
-even once below its value at the start of the window is still moving, and
-the solve goes on.
+Jacobian, constraint values, KKT vector and merit carry into the next
+step.  The solver takes no options; every constant below is fixed.
 """
 
 from __future__ import annotations
@@ -98,15 +47,30 @@ _REGULARIZATIONS = np.concatenate([[0.0], 1e-8 * 2.0 ** np.arange(54)])
 # down to 1e-12.
 _STEP_LENGTHS = 0.5 ** np.arange(40)
 # Sizes of the first stacks of shorter step lengths; the last takes the rest.
+# They follow where the searches stop: over the IVP solves at augmented
+# N=6..25 and square N=6..13, 230 of 365 line searches take step length 1,
+# and of the other 135, 51 stop at 2^-1..2^-4, 45 at 2^-5..2^-20, 13 further
+# down and 26 find no step.  One stack of all 39 made the typical solve
+# slower, since the searches that stop early then pay for 39 rows.
 _BACKTRACK_BATCHES = (4, 16)
-# Jacobian entries a stack of trials may hold: one row at orbit N=45.
+# Jacobian entries a stack of trials may hold: one row at orbit N=45, 3 at
+# N=25, no cut on the IVP.
 _BATCH_ENTRIES = 2**16
 _STALL_WINDOW = 20
+# Fruitless line searches that end a Newton step.  No step of a converging
+# benchmark solve (IVP augmented N=6..25 and square N=6..30, orbit N=25, 35
+# and 45) fails more than one, while without this bound the square
+# transcripts that end singular fail 30 to 42 in their last step, each a
+# full backtracking run.  The slack is needed: the unreachable final state
+# of ``test_unreachable_final_state_stalls_early`` fails 6 in one step
+# before one succeeds, and goes on to stall.
 _MAX_FAILED_SEARCHES = 8
 _KKT_TOLERANCE = 1e-10
 _MAX_ITERATIONS = 200
-# Householder reflectors per block when only Z of the QR of J^T is formed;
-# a Jacobian with at most this many rows takes one complete QR instead.
+# Householder reflectors per block when only Z of the QR of J^T is formed
+# (the orbit grids: 232 rows and 43 null-space columns at N=45).  A Jacobian
+# with at most this many rows, as on every IVP grid, takes one complete QR
+# instead, the faster call there.
 _QR_BLOCK = 48
 
 
@@ -140,9 +104,9 @@ class SolveReport:
 
 class MaxIterationsError(RuntimeError):
     """The solve stopped short of the tolerance: either the iteration budget
-    ran out, or the solve stalled, with each residual converged or stuck and
-    at least one stuck (``stall`` then names both, and ``report.iterations``
-    is the iteration it stopped at)."""
+    ran out, or the solve stalled (``_stall``; ``stall`` then says how each
+    residual stood, and ``report.iterations`` is the iteration it stopped
+    at)."""
 
     def __init__(self, report: SolveReport, stall: str | None = None):
         if stall is None:
@@ -168,15 +132,16 @@ class SingularKktError(RuntimeError):
 
 
 def _kkt_vector(point, mult):
+    """The KKT vector at a point and multipliers, and its norm."""
     gradient, J, constraints = point
-    return np.concatenate([gradient + J.T @ mult, constraints])
+    kkt = np.concatenate([gradient + J.T @ mult, constraints])
+    return kkt, np.linalg.norm(kkt)
 
 
 def _kkt_vectors(points, mults):
     """The KKT vector and its norm at each row of a stack of points and
     multipliers.  The products make the same BLAS calls per row as
-    ``_kkt_vector`` and ``np.linalg.norm``, so each row is bit-equal to
-    theirs."""
+    ``_kkt_vector``, so each row is bit-equal to its pair."""
     gradients, jacobians, values = points
     products = jacobians.transpose(0, 2, 1) @ mults[:, :, None]
     kkts = np.concatenate([gradients + products[:, :, 0], values], axis=1)
@@ -189,14 +154,12 @@ def _multiplier_estimate(point):
     norm."""
     gradient, J, _ = point
     mult, *_ = np.linalg.lstsq(J.T, -gradient, rcond=None)
-    kkt = _kkt_vector(point, mult)
-    return mult, kkt, np.linalg.norm(kkt)
+    return mult, *_kkt_vector(point, mult)
 
 
 def _residuals(kkt, n):
     """The max-norm gradient and constraint residuals of a KKT vector."""
-    constraint = float(np.max(np.abs(kkt[n:]))) if kkt.size > n else 0.0
-    return float(np.max(np.abs(kkt[:n]))), constraint
+    return float(np.max(np.abs(kkt[:n]))), float(np.max(np.abs(kkt[n:])))
 
 
 def _stall(residuals):
@@ -206,6 +169,17 @@ def _stall(residuals):
     from that many steps back to the current one), each residual either
     stayed at or below ``_KKT_TOLERANCE`` throughout, or stayed above it and
     never fell below where the window began, and at least one did the latter.
+    The rank-deficient square transcripts end this way when their Newton
+    steps keep one residual converged and leave the other frozen on a floor
+    just above the tolerance.
+
+    A residual that keeps falling, however slowly, is not stuck, so such a
+    solve runs out its budget instead: the augmented IVP at N=3 takes steps
+    of 2^-31 from iteration 16 on at a gradient residual of 1.724e-8, and
+    ends with no convergence in 200 iterations.  A rule that asked more of
+    each step would cut short good solves too: the Armijo test guarantees
+    only a 1e-4 alpha relative decrease of the merit, and orbit N=35
+    converges at iteration 167, 144 of its steps of 2^-5 to 2^-17.
     """
     if len(residuals) <= _STALL_WINDOW:
         return None
@@ -234,26 +208,30 @@ def _sufficient_decrease(trial_merit, alpha, merit):
     return np.isfinite(trial_merit) & (trial_merit <= merit * (1.0 - 1e-4 * alpha))
 
 
-def _line_search(t, z, mult, dz, dm, merit, rows):
+def _line_search(t, z, mult, dz, dm, merit):
     """The first step length along (dz, dm) that passes the Armijo test on
     the KKT norm ``merit``, with its iterate, multipliers, point, KKT vector
     and merit; None when none does.
 
-    Step length 1 is tried alone, at one point.  The shorter ones are
-    evaluated in stacks (``Transcript.evaluate_many``), ``_BACKTRACK_BATCHES``
-    (4, then 16) and then the rest, each cut to ``rows``, and tested in
-    order, so the step taken is the one a trial at a time would take; only
-    the rest of the accepting stack is wasted.  Every stacked KKT vector and
-    merit is bit-equal to a single trial's (``_kkt_vectors``; checked by
+    The step lengths are ``_STEP_LENGTHS``, a fixed halving sequence
+    (Armijo backtracking; Nocedal & Wright 2006, section 3.1), so the trial
+    points are known in advance.  Step length 1 is tried alone, at one
+    point.  The shorter ones are evaluated in stacks
+    (``Transcript.evaluate_many``), ``_BACKTRACK_BATCHES`` and then the
+    rest, each cut so that its Jacobians, of ``dz.size * dm.size`` entries
+    each, hold at most ``_BATCH_ENTRIES``, and tested in order, so the step
+    taken is the one a trial at a time would take; only the rest of the
+    accepting stack is wasted.  Every stacked KKT vector and merit is
+    bit-equal to a single trial's (``_kkt_vectors``; checked by
     ``test_stacked_kkt_rows_are_bit_equal``), so the merit that an accepted
     trial carries into the next step is the one recomputing it would give.
     """
     trial_z, trial_mult = z + dz, mult + dm
     point = t.objective_gradient(trial_z), t.jacobian(trial_z), t.constraints(trial_z)
-    kkt = _kkt_vector(point, trial_mult)
-    trial_merit = np.linalg.norm(kkt)
+    kkt, trial_merit = _kkt_vector(point, trial_mult)
     if _sufficient_decrease(trial_merit, 1.0, merit):
         return 1.0, trial_z, trial_mult, point, kkt, trial_merit
+    rows = max(1, _BATCH_ENTRIES // (dz.size * dm.size))
     sizes = iter(_BACKTRACK_BATCHES)
     start = 1
     while start < _STEP_LENGTHS.size:
@@ -310,13 +288,11 @@ def _null_space(J):
 def _inertia_band(H, J, full_row_rank):
     """The regularizations the reduced Hessian decides on its own.
 
-    Returns ``(fails_below, certain_above)``.  Both come from one QR of J^T,
-    Z = Q[:, m:], and the smallest eigenvalue lowest of the small matrix
-    Z^T H Z; the reduced Hessian for delta is Z^T H Z + delta I.  Up to 48
-    rows of J the QR is one complete ``np.linalg.qr``; past that,
-    ``_null_space`` forms only the n - m columns of Z, in blocks of 48
-    Householder reflectors, and reads R's diagonal off the same LAPACK call,
-    so the rank veto below sees the same bits either way.
+    Returns ``(fails_below, certain_above)``.  Both come from the smallest
+    eigenvalue lowest of the small matrix Z^T H Z, with Z and R's diagonal
+    from the QR of J^T (``_null_space``); the reduced Hessian for delta is
+    Z^T H Z + delta I, and the inertia of a constrained minimizer needs it
+    positive definite (Nocedal & Wright ch. 16).
 
     Below ``fails_below`` it has a negative eigenvalue.  Z lies in the null
     space of J (and spans it when J has full row rank), so with v that
@@ -432,7 +408,6 @@ def solve(t: Transcript):
     # multipliers would leave a linear objective with a vanishing Lagrangian
     # Hessian and a degenerate first KKT system.
     mult, kkt, merit = _multiplier_estimate(point)
-    rows = max(1, _BATCH_ENTRIES // point[1].size)
     # One KKT buffer for every try of every step.
     size = n + point[1].shape[0]
     K = np.empty((size, size), order="F")
@@ -463,7 +438,7 @@ def solve(t: Transcript):
             )
             if step is None:
                 continue
-            found = _line_search(t, z, mult, step[:n], step[n:], merit, rows)
+            found = _line_search(t, z, mult, step[:n], step[n:], merit)
             if found is None:
                 failed_searches += 1
                 if failed_searches == _MAX_FAILED_SEARCHES:

@@ -17,7 +17,7 @@ the solver that produced it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from enum import Enum
 
 import numpy as np
@@ -49,37 +49,19 @@ class Transcript:
     ends are state nodes 0 and ``n - 1``; each endpoint call reads both.
     All evaluation methods are pure.
 
-    The dynamics and the running cost read one collocation node each, so
-    the per-node dynamics Jacobians and the Lagrangian Hessian fill
-    ``n_x + n_u``-square blocks, one per node; the endpoint cost and the
-    boundary map read both ends, which adds an ``n_x``-square Hessian block
-    between them.  A node table, one row per collocation node, holds the
-    indices in ``z`` of that node's states and then its controls; node k's
-    defect rows carry the indices of its states.  An end table holds those
-    of x(t0), then x(tf).  The augmented method's
-    extra sample has no row, because no nonlinear term reads it.  The
-    defect block is linear in the states and sits in a Jacobian template
-    built once.  ``jacobian`` copies the template and scatters the dynamics
-    Jacobians into the node rows and the boundary one into the end columns.
-    ``hessian`` differences the Lagrangian
-    gradient with one state or control component bumped at every node at
-    once, keeps each node's block, and takes the block between the ends
-    apart.  ``objective_gradient`` and ``constraints`` each fill one new
-    vector.
-
-    ``evaluate_many`` returns all three at each row of a stack of B points,
-    calling each node-array callback once on the B points' nodes laid end
-    to end, ``B n`` nodes, and the endpoint callbacks once per row; the
-    line search evaluates its shorter trial steps that way.  It repeats the
-    single-point methods' operations on the stacked arrays, so each row is
-    bit-equal to them.  They keep their own bodies: going through a one-row
-    stack made the median IVP solve about 14% slower.
-
-    ``full_row_rank`` is true for the augmented method: its N x (N+1)
+    ``__init__`` builds the index tables every method reads: a node table,
+    one row per collocation node, with the indices in ``z`` of that node's
+    states and then its controls (node k's defect rows carry the indices of
+    its states); an end table, those of x(t0) and then x(tf); and the
+    Jacobian template, the defect block that is linear in the states.  The
+    augmented method's extra sample has no row in either table, because no
+    nonlinear term reads it.  ``objective_gradient``, ``constraints`` and
+    ``jacobian`` each fill one new array from those tables;
+    ``evaluate_many`` does the same for a stack of points, and ``hessian``
+    differences the Lagrangian gradient over the node and end blocks.
+    ``full_row_rank`` is true for the augmented method, whose N x (N+1)
     matrix has full row rank by construction, while the square matrix loses
-    a rank.  The solver then reads the KKT inertia off the reduced Hessian,
-    unless its QR of the constraint Jacobian shows that boundary rows which
-    repeat one another cost it a rank.
+    a rank.
     """
 
     def __init__(self, ocp: OcpDefinition, ns: NodeSet, method: Method):
@@ -108,7 +90,7 @@ class Transcript:
         self.n_state_vars = self.n_state_nodes * self.n_x
         self.n_z = self.n_state_vars + self.n * self.n_u
         self.n_constraints = self.n_defect + self.n_boundary
-        states = np.arange(self.n_defect).reshape(self.n, self.n_x)
+        states = np.arange(self.n * self.n_x).reshape(self.n, self.n_x)
         controls = np.arange(self.n_state_vars, self.n_z).reshape(self.n, self.n_u)
         self._nodes = np.hstack([states, controls])
         # Indices in z of x(t0), then x(tf): the endpoint derivatives' columns.
@@ -195,7 +177,10 @@ class Transcript:
         the same operations, on the stacked arrays.  Each node-array
         callback is called once, on the B points' nodes laid end to end
         (``t`` of shape ``(B n,)``, ``x`` ``(B n, n_x)``, ``u`` ``(B n,
-        n_u)``); each endpoint callback once per row."""
+        n_u)``); each endpoint callback once per row.  The line search
+        evaluates its shorter trial steps this way.  The single-point
+        methods keep their own bodies: going through a one-row stack made
+        the median IVP solve about 14% slower."""
         Z = np.asarray(Z, dtype=float)
         if Z.ndim != 2 or Z.shape[1] != self.n_z:
             raise ValueError(f"expected a stack of decision vectors of length {self.n_z}")
@@ -245,7 +230,7 @@ class Transcript:
             bumped_gradient = self.objective_gradient(bumped) + self.jacobian(bumped).T @ mult
             flat[self._block_columns[i]] = ((bumped_gradient - gradient) / step)[self._nodes]
 
-        start, end = slice(0, self.n_x), slice(self.n_defect - self.n_x, self.n_defect)
+        start, end = self._ends.reshape(2, self.n_x)
         x0, xf = z[start], z[end]
         nu = mult[self.n_defect :]
 
@@ -259,10 +244,10 @@ class Transcript:
             bumped = xf.copy()
             bumped[i] += step
             cross[:, i] = (start_gradient(bumped) - base) / step
-        H[start, start] -= cross
-        H[end, end] -= cross.T
-        H[start, end] = cross
-        H[end, start] = cross.T
+        H[np.ix_(start, start)] -= cross
+        H[np.ix_(end, end)] -= cross.T
+        H[np.ix_(start, end)] = cross
+        H[np.ix_(end, start)] = cross.T
         return 0.5 * (H + H.T)
 
     # -- construction checks ----------------------------------------------
@@ -380,12 +365,7 @@ class KktResidualReport:
 
     @property
     def max_abs(self) -> float:
-        return max(
-            self.state_equation,
-            self.adjoint,
-            self.exceptional_column,
-            self.control,
-        )
+        return max(astuple(self))
 
 
 def kkt_residuals(

@@ -297,6 +297,12 @@ def test_certified_tries_match_the_inertia_test(factory, n, monkeypatch):
         first = next((k for k, step in enumerate(replayed) if step is not None), None)
         assert first == next((k for k, tr in enumerate(tries) if tr[5] is not None), None)
     assert certified > 0
+    if factory is orbit_raising:
+        # On orbit every try skips the KKT eigenvalue test and the dual
+        # shift: one uncertified try at N=45 would add an eigvalsh of the
+        # 507-square KKT matrix.
+        assert certified == sum(len(tries) for tries in steps)
+        assert not any(tr[6] for tries in steps for tr in tries)
 
 
 def kkt_eigvalsh_calls(monkeypatch, n):
@@ -616,17 +622,17 @@ def test_stacked_kkt_rows_are_bit_equal(factory, n, method, monkeypatch):
     def checked_stack(points, mults):
         kkts, merits = kkt_vectors(points, mults)
         for k, mult in enumerate(mults):
-            kkt = nlpsolve._kkt_vector(tuple(a[k] for a in points), mult)
+            kkt, norm = nlpsolve._kkt_vector(tuple(a[k] for a in points), mult)
             assert kkts[k].tobytes() == kkt.tobytes()
-            assert merits[k] == np.linalg.norm(kkt)
+            assert merits[k] == norm == np.linalg.norm(kkt)
         stack_rows.append(len(mults))
         return kkts, merits
 
-    def checked_search(t, z, mult, dz, dm, merit, rows):
+    def checked_search(t, z, mult, dz, dm, merit):
         point = t.objective_gradient(z), t.jacobian(z), t.constraints(z)
-        assert merit == np.linalg.norm(nlpsolve._kkt_vector(point, mult))
+        assert merit == np.linalg.norm(nlpsolve._kkt_vector(point, mult)[0])
         searches.append(merit)
-        return line_search(t, z, mult, dz, dm, merit, rows)
+        return line_search(t, z, mult, dz, dm, merit)
 
     monkeypatch.setattr(nlpsolve, "_kkt_vectors", checked_stack)
     monkeypatch.setattr(nlpsolve, "_line_search", checked_search)

@@ -6,6 +6,7 @@ from auglobatto.nlpsolve import solve
 from auglobatto.ocp import OcpDefinition, nonlinear_ivp, orbit_raising
 from auglobatto.orthopoly import legendre_eval, lobatto_nodes
 from auglobatto.transcribe import (
+    KktResidualReport,
     Method,
     Solution,
     Transcript,
@@ -452,6 +453,14 @@ class TestKktResiduals:
             with pytest.raises(ValueError, match="in that order"):
                 kkt_residuals(t, sol, ns, first, second)
 
+    @pytest.mark.parametrize(
+        "largest", ["state_equation", "adjoint", "exceptional_column", "control"]
+    )
+    def test_max_abs_is_the_largest_residual(self, largest):
+        fields = dict(state_equation=1e-9, adjoint=2e-9, exceptional_column=3e-9, control=4e-9)
+        fields[largest] = 5e-3
+        assert KktResidualReport(**fields).max_abs == 5e-3
+
 
 class TestLeadingCoefficient:
     def test_pure_top_mode(self):
@@ -651,6 +660,29 @@ def coupled_lq_problem():
     )
 
 
+def hessian_against_differences(problem, method):
+    """Transcribe problem on 8 nodes, check its Hessian at a random point
+    against forward differences of the Lagrangian gradient, and return the
+    transcript, the Hessian and the multipliers."""
+    t = transcribe(problem, lobatto_nodes(8), method)
+    rng = np.random.default_rng(0)
+    z, mult = rng.standard_normal(t.n_z), rng.standard_normal(t.n_constraints)
+
+    def lagrangian_gradient(z):
+        return t.objective_gradient(z) + t.jacobian(z).T @ mult
+
+    base = lagrangian_gradient(z)
+    step = 1e-7
+    columns = np.empty((t.n_z, t.n_z))
+    for j in range(t.n_z):
+        bumped = z.copy()
+        bumped[j] += step
+        columns[:, j] = (lagrangian_gradient(bumped) - base) / step
+    H = t.hessian(z, mult, base)
+    assert np.max(np.abs(H - 0.5 * (columns + columns.T))) < 1e-6
+    return t, H, mult
+
+
 class TestRowsThatReadBothEnds:
     @pytest.mark.parametrize("method", list(Method))
     def test_jacobian_matches_central_differences(self, method):
@@ -687,25 +719,35 @@ class TestRowsThatReadBothEnds:
             boundary=lambda x0, xf: np.array([x0[0] - 1.0, x0[0] * xf[0] - 0.5]),
             boundary_jacobian=lambda x0, xf: np.array([[1.0, 0.0], [xf[0], x0[0]]]),
         )
-        t = transcribe(problem, lobatto_nodes(8), method)
-        rng = np.random.default_rng(0)
-        z, mult = rng.standard_normal(t.n_z), rng.standard_normal(t.n_constraints)
-
-        def lagrangian_gradient(z):
-            return t.objective_gradient(z) + t.jacobian(z).T @ mult
-
-        base = lagrangian_gradient(z)
-        step = 1e-7
-        columns = np.empty((t.n_z, t.n_z))
-        for j in range(t.n_z):
-            bumped = z.copy()
-            bumped[j] += step
-            columns[:, j] = (lagrangian_gradient(bumped) - base) / step
-        H = t.hessian(z, mult, base)
-        assert np.max(np.abs(H - 0.5 * (columns + columns.T))) < 1e-6
+        t, H, mult = hessian_against_differences(problem, method)
         x0, xf = 0, t.n_defect - 1
         assert H[x0, xf] == H[xf, x0] == pytest.approx(mult[-1], abs=1e-6)
         assert abs(H[x0, x0]) < 1e-6 and abs(H[xf, xf]) < 1e-6
+
+    @pytest.mark.parametrize("method", list(Method))
+    def test_hessian_places_the_cross_block_of_two_states(self, method):
+        # The row x0[0] xf[1] - 0.5 puts its multiplier at (x0[0], xf[1])
+        # and (xf[1], x0[0]) only: a transposed or shifted cross block, or
+        # one left in an end block, would put it elsewhere.
+        problem = OcpDefinition(
+            t0=0.0,
+            tf=1.0,
+            dynamics=lambda t, x, u: u - x,
+            dynamics_jacobians=lambda t, x, u: np.tile(
+                [[-1.0, 0.0, 1.0], [0.0, -1.0, 1.0]], np.shape(t) + (1, 1)
+            ),
+            boundary=lambda x0, xf: np.array([x0[0] - 1.0, x0[0] * xf[1] - 0.5]),
+            boundary_jacobian=lambda x0, xf: np.array(
+                [[1.0, 0.0, 0.0, 0.0], [xf[1], 0.0, 0.0, x0[0]]]
+            ),
+            initial_guess=lambda t: (np.ones(np.shape(t) + (2,)), np.zeros(np.shape(t) + (1,))),
+        )
+        t, H, mult = hessian_against_differences(problem, method)
+        assert t.n_x == 2
+        ends = np.concatenate([np.arange(2), t.n_defect - 2 + np.arange(2)])
+        expected = np.zeros((4, 4))
+        expected[0, 3] = expected[3, 0] = mult[-1]
+        np.testing.assert_allclose(H[np.ix_(ends, ends)], expected, atol=1e-6)
 
     @pytest.mark.parametrize("method", list(Method))
     @pytest.mark.parametrize("n", [8, 16, 24])
