@@ -20,8 +20,9 @@ median is worse than REV's by more than the metric's bound, and
 ``UNRESOLVED`` when either side's quartile distance, relative to its
 median, is wider than the bound and not every checkout run is better than
 every REV run; and each side's failed ops.  Exits 1 when a metric is over
-its bound or unresolved or an op failed, else 0.  Uses the standard
-library only.
+its bound or unresolved or an op failed, else 0; exits 2, before
+building any tree, when PAIRS is below 1 or a workload is not in
+``BENCHMARK.json``.  Uses the standard library only.
 """
 
 from __future__ import annotations
@@ -108,10 +109,14 @@ def main(argv=None) -> int:
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--workloads", default=None, help="comma-separated; default all")
     args = parser.parse_args(argv)
+    if args.pairs < 1:
+        parser.error("--pairs must be at least 1")
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
-    workloads = (
-        args.workloads.split(",") if args.workloads else [w["name"] for w in benchmark["workloads"]]
-    )
+    known = [w["name"] for w in benchmark["workloads"]]
+    workloads = args.workloads.split(",") if args.workloads else known
+    unknown = [w for w in workloads if w not in known]
+    if unknown:
+        parser.error(f"--workloads: not in BENCHMARK.json: {', '.join(unknown)}")
     ok = True
     with tempfile.TemporaryDirectory() as tmp:
         trees = make_trees(args.rev, Path(tmp))

@@ -23,8 +23,8 @@ length (the inertia correction of IPOPT; Waechter & Biegler 2006, section
   that null space;
 - ``_solve_kkt``: the factorization at one delta, its inertia test and the
   dual shift of a singular system;
-- ``_line_search``: Armijo backtracking on the KKT norm (the merit), the
-  shorter trial steps evaluated in stacks;
+- ``_line_search``: Armijo backtracking on the merit, the KKT norm that
+  ``_kkt_vectors`` forms, the shorter trial steps evaluated in stacks;
 - ``_stall``: the rule that stops a solve whose residuals have stalled.
 
 Each point is evaluated once: an accepted line-search trial's gradient,
@@ -131,17 +131,11 @@ class SingularKktError(RuntimeError):
         self.report = report
 
 
-def _kkt_vector(point, mult):
-    """The KKT vector at a point and multipliers, and its norm."""
-    gradient, J, constraints = point
-    kkt = np.concatenate([gradient + J.T @ mult, constraints])
-    return kkt, np.linalg.norm(kkt)
-
-
 def _kkt_vectors(points, mults):
-    """The KKT vector and its norm at each row of a stack of points and
-    multipliers.  The products make the same BLAS calls per row as
-    ``_kkt_vector``, so each row is bit-equal to its pair."""
+    """The KKT vector and its norm, the merit, at each row of a stack of
+    points and multipliers.  Every KKT vector and merit the solver forms
+    comes from here: a single point, as at the guess, step length 1 and the
+    multiplier refresh, is a one-row stack."""
     gradients, jacobians, values = points
     products = jacobians.transpose(0, 2, 1) @ mults[:, :, None]
     kkts = np.concatenate([gradients + products[:, :, 0], values], axis=1)
@@ -150,11 +144,12 @@ def _kkt_vectors(points, mults):
 
 def _multiplier_estimate(point):
     """The multipliers that minimize the Lagrangian gradient at ``point`` in
-    the least-squares sense, and the KKT vector they give there and its
-    norm."""
+    the least-squares sense, and the KKT vector and merit they give there
+    (``_kkt_vectors``)."""
     gradient, J, _ = point
     mult, *_ = np.linalg.lstsq(J.T, -gradient, rcond=None)
-    return mult, *_kkt_vector(point, mult)
+    kkts, merits = _kkt_vectors(tuple(a[None] for a in point), mult[None])
+    return mult, kkts[0], merits[0]
 
 
 def _residuals(kkt, n):
@@ -221,16 +216,15 @@ def _line_search(t, z, mult, dz, dm, merit):
     rest, each cut so that its Jacobians, of ``dz.size * dm.size`` entries
     each, hold at most ``_BATCH_ENTRIES``, and tested in order, so the step
     taken is the one a trial at a time would take; only the rest of the
-    accepting stack is wasted.  Every stacked KKT vector and merit is
-    bit-equal to a single trial's (``_kkt_vectors``; checked by
-    ``test_stacked_kkt_rows_are_bit_equal``), so the merit that an accepted
-    trial carries into the next step is the one recomputing it would give.
+    accepting stack is wasted.  Step length 1's KKT vector and merit come
+    from ``_kkt_vectors`` too, so the merit an accepted trial carries into
+    the next step is the one recomputing it there would give.
     """
     trial_z, trial_mult = z + dz, mult + dm
     point = t.objective_gradient(trial_z), t.jacobian(trial_z), t.constraints(trial_z)
-    kkt, trial_merit = _kkt_vector(point, trial_mult)
-    if _sufficient_decrease(trial_merit, 1.0, merit):
-        return 1.0, trial_z, trial_mult, point, kkt, trial_merit
+    kkts, merits = _kkt_vectors(tuple(a[None] for a in point), trial_mult[None])
+    if _sufficient_decrease(merits[0], 1.0, merit):
+        return 1.0, trial_z, trial_mult, point, kkts[0], merits[0]
     rows = max(1, _BATCH_ENTRIES // (dz.size * dm.size))
     sizes = iter(_BACKTRACK_BATCHES)
     start = 1

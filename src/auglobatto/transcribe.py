@@ -325,18 +325,16 @@ class Solution:
 def extract_costates(t: Transcript, raw_multipliers) -> np.ndarray:
     """Costate samples from raw equality multipliers.
 
-    The defect multiplier lambda-tilde at node k absorbs one quadrature
-    weight and half the horizon length; undoing that gives the costate:
-    lambda_k = 2 lambda-tilde_k / (w_k (tf - t0)).
+    The defect multiplier lambda-tilde at node k absorbs the quadrature
+    scale w_k (tf - t0)/2 of the transcript's ``_quadrature`` table;
+    dividing by it gives the costate lambda_k.
     """
     raw = np.asarray(raw_multipliers, dtype=float)
     if raw.shape != (t.n_constraints,):
         raise ValueError(
             f"expected {t.n_constraints} multipliers, got {raw.shape}"
         )
-    lam_tilde = raw[: t.n_defect].reshape(t.n, t.n_x)
-    dt = t.ocp.tf - t.ocp.t0
-    return 2.0 * lam_tilde / (t.ns.weights[:, None] * dt)
+    return raw[: t.n_defect].reshape(t.n, t.n_x) / t._quadrature
 
 
 def assemble_solution(

@@ -3,6 +3,8 @@
 import importlib.util
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 _spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "scripts" / "bench_pairs.py")
 bench_pairs = importlib.util.module_from_spec(_spec)
@@ -62,3 +64,23 @@ def test_report_flags_a_bound_and_a_failed_op(capsys):
     failing = {"rev": runs([1.0], [10]), "checkout": runs([1.0], [10], failed=1)}
     assert not bench_pairs.report("w", failing, METRICS)
     assert "checkout failed ops: 1 of 10" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["--pairs", "0"], "--pairs must be at least 1"),
+        (["--pairs", "-3"], "--pairs must be at least 1"),
+        (["--workloads", "orbit,nope"], "--workloads: not in BENCHMARK.json: nope"),
+    ],
+    ids=["zero-pairs", "negative-pairs", "unknown-workload"],
+)
+def test_bad_arguments_are_usage_errors_before_any_tree(args, message, monkeypatch, capsys):
+    def no_trees(*_):
+        raise AssertionError("built a tree")
+
+    monkeypatch.setattr(bench_pairs, "make_trees", no_trees)
+    with pytest.raises(SystemExit) as exc:
+        bench_pairs.main(["HEAD", *args])
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err

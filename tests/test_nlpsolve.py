@@ -601,36 +601,37 @@ def test_stacks_are_cut_to_the_entry_cap(monkeypatch, rows):
 
 
 @pytest.mark.parametrize(
-    "factory, n, method",
+    "factory, n, method, rows",
     [
-        (lambda: nonlinear_ivp()[0], 9, Method.NEW_LOBATTO),
-        (lambda: nonlinear_ivp()[0], 9, Method.STANDARD_LOBATTO),
-        (orbit_raising, 25, Method.NEW_LOBATTO),
+        (lambda: nonlinear_ivp()[0], 9, Method.NEW_LOBATTO, 19),
+        (lambda: nonlinear_ivp()[0], 9, Method.STANDARD_LOBATTO, 19),
+        (orbit_raising, 25, Method.NEW_LOBATTO, 3),
+        (orbit_raising, 45, Method.NEW_LOBATTO, 1),
     ],
-    ids=["augmented-ivp-9", "square-ivp-9", "orbit-25"],
+    ids=["augmented-ivp-9", "square-ivp-9", "orbit-25", "orbit-45"],
 )
-def test_stacked_kkt_rows_are_bit_equal(factory, n, method, monkeypatch):
-    # Each row of every trial stack a solve's line searches build has the
-    # KKT vector and merit of _kkt_vector and np.linalg.norm at that trial,
-    # bit for bit.  So the merit each line search starts from, carried from
-    # the accepted trial or the multiplier refresh, is the norm of the KKT
-    # vector at the iterate, as recomputing it there would give.
+def test_stacked_kkt_rows_are_bit_equal(factory, n, method, rows, monkeypatch):
+    # Every KKT vector and merit a solve forms (the guess, step length 1,
+    # the stacked trials, the multiplier refresh) comes from _kkt_vectors,
+    # and each merit is np.linalg.norm of its row bit for bit.  So the merit
+    # each line search starts from is the norm of the KKT vector at the
+    # iterate, as re-evaluating it there gives.  ``rows`` caps the stacks:
+    # the 19 step lengths left after _BACKTRACK_BATCHES on the IVP, and
+    # _BATCH_ENTRIES' cut on the orbit, which leaves one row at N=45.
     t = transcribe(factory(), lobatto_nodes(n), method)
     kkt_vectors, line_search = nlpsolve._kkt_vectors, nlpsolve._line_search
     stack_rows, searches = [], []
 
     def checked_stack(points, mults):
         kkts, merits = kkt_vectors(points, mults)
-        for k, mult in enumerate(mults):
-            kkt, norm = nlpsolve._kkt_vector(tuple(a[k] for a in points), mult)
-            assert kkts[k].tobytes() == kkt.tobytes()
-            assert merits[k] == norm == np.linalg.norm(kkt)
+        assert [m.tobytes() for m in merits] == [np.linalg.norm(k).tobytes() for k in kkts]
         stack_rows.append(len(mults))
         return kkts, merits
 
     def checked_search(t, z, mult, dz, dm, merit):
-        point = t.objective_gradient(z), t.jacobian(z), t.constraints(z)
-        assert merit == np.linalg.norm(nlpsolve._kkt_vector(point, mult)[0])
+        gradient, J, constraints = t.objective_gradient(z), t.jacobian(z), t.constraints(z)
+        kkt = np.concatenate([gradient + J.T @ mult, constraints])
+        assert merit.tobytes() == np.linalg.norm(kkt).tobytes()
         searches.append(merit)
         return line_search(t, z, mult, dz, dm, merit)
 
@@ -639,7 +640,10 @@ def test_stacked_kkt_rows_are_bit_equal(factory, n, method, monkeypatch):
     report = solve(t)[2]
     assert report.converged
     assert len(searches) >= report.iterations
-    assert len(stack_rows) >= 2
+    # The guess and each search's step length 1 are one-row calls; the
+    # rest are the shorter steps' stacks and the multiplier refreshes.
+    assert len(stack_rows) > 1 + len(searches)
+    assert max(stack_rows) <= rows
 
 
 def check_line_search_evaluations(method, n, stacks):
